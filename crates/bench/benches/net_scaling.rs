@@ -28,13 +28,6 @@
 //!   alongside. Run just this family with `cargo bench --bench
 //!   net_scaling -- par/`, and shrink the simulated horizon for smoke
 //!   runs with `QLINK_BENCH_SCALE` (e.g. `=0.1`).
-//! * `ruleset/*` — the interpretation tax of the RuleSet control
-//!   plane (`qlink::net::ruleset`): the `par/grid_8x8` workload run
-//!   hard-coded vs under `Policy::SwapAsap` rules. The two runs are
-//!   bit-identical (pinned by tests/net_ruleset.rs), so the
-//!   per-event-cost ratio isolates interpreter overhead; with
-//!   `QLINK_BENCH_RULESET_MAX_TAX` set (a fraction; CI passes 0.05)
-//!   a larger tax panics the bench.
 //! * `load/*` — the open-loop workload engine (`qlink::net::load`):
 //!   wall-clock of one sustained-arrival grid run at a moderate rate
 //!   (the full admit → serve → account path dominates) and at 100×
@@ -44,7 +37,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qlink::net::route::{FidelityProduct, HopCount, Latency, RoutePlanner};
-use qlink::net::ruleset::Policy;
 use qlink::net::sweep::{run_one, sweep, ExecChoice};
 use qlink::net::MetricChoice;
 use qlink::prelude::*;
@@ -378,84 +370,6 @@ fn bench_routing_overhead(c: &mut Criterion) {
     });
 }
 
-/// The interpretation tax: the `par/grid_8x8` workload with the
-/// hard-coded SWAP-ASAP node logic vs the same logic replayed from
-/// `Policy::SwapAsap`'s rule table. Both runs produce bit-identical
-/// event streams, so the per-event-cost ratio is pure interpreter
-/// overhead (rule scan + latch bookkeeping per observation).
-fn bench_ruleset_overhead(c: &mut Criterion) {
-    if !c.matches_prefix("ruleset/") {
-        return;
-    }
-    let sim = qlink_bench::scaled_secs(2.0);
-    let n = 8usize;
-    let last = n * n - 1;
-    let base = ScenarioSpec::lab_grid(format!("ruleset-grid-{n}"), n, n)
-        .with_pairs(vec![
-            (0, last),
-            (n - 1, last + 1 - n),
-            (n / 2, last - n / 2),
-        ])
-        .with_metric(MetricChoice::LoadLatency)
-        .with_max_time(sim);
-    let cells = [
-        ("hardcoded", base.clone()),
-        ("interpreted", base.with_ruleset(Policy::SwapAsap)),
-    ];
-    let mut per_event = Vec::new();
-    let mut events = Vec::new();
-    for (tag, spec) in cells {
-        let name = format!("ruleset/grid_{n}x{n}_{tag}");
-        if !c.matches(&name) {
-            continue;
-        }
-        // Minimum of two runs, as in `bench_par_engine`: the runs are
-        // bit-identical, so only the clock differs.
-        let watch = qlink_bench::Stopwatch::new();
-        let r = run_one(&spec, 1);
-        let first = watch.secs();
-        let watch = qlink_bench::Stopwatch::new();
-        let r2 = run_one(&spec, 1);
-        let secs = watch.secs().min(first);
-        assert_eq!(r.events, r2.events, "{name}: runs must be bit-identical");
-        let per_event_ns = if r.events == 0 {
-            0.0
-        } else {
-            secs * 1e9 / r.events as f64
-        };
-        println!(
-            "{name:<28} {per_event_ns:>7.1} ns/event  {secs:>8.3} s  ({} events, {} ok)",
-            r.events, r.successes,
-        );
-        per_event.push(per_event_ns);
-        events.push(r.events);
-    }
-    let [hard, interp] = per_event[..] else {
-        return; // A filter selected only one cell: no ratio to gate.
-    };
-    assert_eq!(
-        events[0], events[1],
-        "interpreted SWAP-ASAP must replay the hard-coded event stream"
-    );
-    let tax = interp / hard - 1.0;
-    println!(
-        "ruleset/grid_{n}x{n} interpretation tax: {:+.1}%",
-        tax * 100.0
-    );
-    if let Ok(max) = std::env::var("QLINK_BENCH_RULESET_MAX_TAX") {
-        let max: f64 = max
-            .parse()
-            .unwrap_or_else(|e| panic!("QLINK_BENCH_RULESET_MAX_TAX: {e}"));
-        assert!(
-            tax <= max,
-            "interpretation tax {:.1}% exceeds the {:.1}% gate \
-             ({interp:.1} ns/event interpreted vs {hard:.1} hard-coded)",
-            tax * 100.0,
-            max * 100.0,
-        );
-    }
-}
-
 fn bench_open_loop_load(c: &mut Criterion) {
     if !c.matches("load/") {
         return;
@@ -494,6 +408,6 @@ fn bench_open_loop_load(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_chain_scaling, bench_routing_overhead, bench_purify_policies, bench_congested_mesh, bench_sweep_throughput, bench_par_engine, bench_ruleset_overhead, bench_open_loop_load
+    targets = bench_chain_scaling, bench_routing_overhead, bench_purify_policies, bench_congested_mesh, bench_sweep_throughput, bench_par_engine, bench_open_loop_load
 }
 criterion_main!(benches);

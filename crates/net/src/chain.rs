@@ -1,9 +1,8 @@
-//! Repeater chains on the shared clock — the successor of
-//! `qlink_sim::chain::RepeaterChain`.
+//! Repeater chains on the shared clock.
 //!
-//! Same surface (build from per-hop [`LinkConfig`]s, ask for one
-//! end-to-end pair at a time), but every hop now runs on **one**
-//! shared event queue under SWAP-ASAP control: links interleave on a
+//! Build from per-hop [`LinkConfig`]s and ask for one end-to-end pair
+//! at a time. Every hop runs on **one** shared event queue under
+//! SWAP-ASAP control: links interleave on a
 //! global `SimTime` stream, intermediate nodes swap the instant both
 //! their pairs exist, swap results travel classical control channels,
 //! and the reported generation time is the true simulated latency from
@@ -44,14 +43,9 @@ impl RepeaterChain {
         self.hops
     }
 
-    /// Borrow the underlying network (trace, metrics, nodes).
+    /// Borrow the underlying network (telemetry, metrics, nodes).
     pub fn network(&self) -> &Network {
         &self.net
-    }
-
-    /// Enable shared-clock trace recording on the underlying network.
-    pub fn enable_trace(&mut self) {
-        self.net.enable_trace();
     }
 
     /// Produces one end-to-end pair: reserves the full path, issues NL

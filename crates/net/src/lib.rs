@@ -29,16 +29,18 @@
 //!   current load and re-issue under a per-request retry budget
 //!   ([`Network::set_retry_budget`],
 //!   [`Network::set_request_timeout`]);
-//! * [`node`] — SWAP-ASAP state machines: repeaters swap the moment
-//!   pairs exist on both their path edges, ends collect Bell-outcome
-//!   frames; composition applies the exact simulated memory decay via
-//!   [`qlink_quantum::ops::entanglement_swap`];
-//! * [`purify`](mod@purify) — purification policies: 2→1 DEJMPS
-//!   distillation ([`qlink_quantum::purify`]) scheduled as a
-//!   first-class protocol rule, per link (two pairs per path edge
-//!   distilled before swapping) or end-to-end (two concurrent streams
-//!   merged by the path ends), with the parity bits crossing the real
-//!   classical control channels;
+//! * [`node`] — the per-node engine: every path reservation runs a
+//!   compiled [`ruleset`](mod@ruleset) table — repeaters swap the
+//!   moment pairs exist on both their path edges, ends collect
+//!   Bell-outcome frames; composition applies the exact simulated
+//!   memory decay via [`qlink_quantum::ops::entanglement_swap`];
+//! * [`purify`](mod@purify) — the purification input: where 2→1
+//!   DEJMPS distillation ([`qlink_quantum::purify`]) runs, per link
+//!   (two pairs per path edge distilled before swapping) or
+//!   end-to-end (two concurrent streams merged by the path ends),
+//!   with the parity bits crossing the real classical control
+//!   channels — converted at issue time into the RuleSet [`Policy`]
+//!   that runs it;
 //! * [`obs`](mod@obs) — the deterministic telemetry layer:
 //!   request-lifecycle spans (chrome-trace / JSONL exportable),
 //!   fixed-bucket histogram metrics with percentile readout, and
@@ -54,8 +56,7 @@
 //!   barriers), bit-identical to the sequential engine
 //!   ([`ExecMode::Sharded`] on [`Network::set_exec`], or the
 //!   `QLINK_EXEC` environment variable);
-//! * [`chain`] — the repeater-chain convenience wrapper (successor of
-//!   the deprecated `qlink_sim::chain::RepeaterChain`);
+//! * [`chain`] — the repeater-chain convenience wrapper;
 //! * [`load`](mod@load) — the open-loop workload engine: deterministic
 //!   Poisson or trace-driven arrival streams over per-application user
 //!   classes (CK/MD kind, priority, fmin, latency/fidelity SLO
@@ -66,12 +67,11 @@
 //!   ([`Network::set_workload`]);
 //! * [`ruleset`](mod@ruleset) — the RuleSet control plane: per-node
 //!   protocol logic as data — an ordered `condition → action` table
-//!   compiled from a [`Policy`] at plan time, installed on every path
-//!   node, and interpreted deterministically on each observation;
-//!   interpreted SWAP-ASAP is bit-identical to the hard-coded
-//!   machine, and new behaviours (threshold-gated purification,
-//!   k-round entanglement pumping) ship as tables only
-//!   ([`Network::set_ruleset_policy`]);
+//!   compiled from a [`Policy`] at issue time, installed on every
+//!   path node, and interpreted deterministically on each
+//!   observation; SWAP-ASAP, link-level and end-to-end purification,
+//!   threshold-gated purification and k-round entanglement pumping
+//!   are all tables ([`Network::set_ruleset_policy`]);
 //! * [`sweep`](mod@sweep) — the parallel scenario-sweep driver: a scenario × seed
 //!   matrix fanned across OS threads with deterministic merged
 //!   aggregates;
@@ -105,7 +105,7 @@ pub use load::{
     AdmissionControl, ArrivalProcess, ClassLoadStats, LoadStats, SloTarget, TraceArrival,
     UserClass, Workload,
 };
-pub use network::{BackoffPolicy, EndToEndOutcome, Network, TraceEntry, TraceKind};
+pub use network::{BackoffPolicy, EndToEndOutcome, Network};
 pub use node::{NodeAction, PathRole, SwapAsapNode};
 pub use obs::{
     chrome_trace_json, spans_jsonl, EngineProfile, Metrics, SpanEvent, SpanStage, Telemetry,

@@ -600,6 +600,16 @@ impl LoadEngine {
         debug_assert!(prev.is_none(), "request id admitted twice");
     }
 
+    /// Records an admitted arrival the network could not issue (the
+    /// fault layer has disconnected its pair): admitted and abandoned
+    /// at once, so it never holds a slot.
+    pub(crate) fn abandon_unroutable(&mut self, class: usize, arrived_at: SimTime, now: SimTime) {
+        let c = &mut self.stats.classes[class];
+        c.admitted += 1;
+        c.abandoned += 1;
+        c.queue_wait.record(now.since(arrived_at).as_secs_f64());
+    }
+
     /// Counts a rejected arrival.
     pub(crate) fn drop_arrival(&mut self, class: usize) {
         self.stats.classes[class].dropped += 1;

@@ -145,37 +145,6 @@ enum NetEvent {
     Fault { kind: FaultKind },
 }
 
-/// What kind of activity a trace entry records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A link advanced to the global clock.
-    LinkWake(usize),
-    /// A classical control message arrived at a node.
-    Control(usize),
-    /// A link delivered an NL pair on an edge.
-    Delivery(usize),
-    /// A repeater performed its Bell-state measurement.
-    Swap(usize),
-    /// Two pairs on an edge were measured for 2→1 distillation.
-    Purify(usize),
-    /// An end-to-end request completed.
-    Complete(u64),
-    /// A request's attempt failed (timeout or terminal link
-    /// rejection) and it is being re-routed onto a fresh path.
-    Reroute(u64),
-    /// A request exhausted its retry budget and was abandoned.
-    Timeout(u64),
-}
-
-/// One timestamped entry of the shared-clock activity trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Global simulated time of the activity.
-    pub at: SimTime,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
 /// One delivered end-to-end entanglement.
 #[derive(Debug, Clone)]
 pub struct EndToEndOutcome {
@@ -272,8 +241,6 @@ struct PathRequest {
     ends_ready: [Option<SimTime>; 2],
     frame: (u8, u8),
     swaps: u32,
-    /// Edges distill two pairs into one before swapping.
-    link_purify: bool,
     /// Per path-edge position: a distillation has consumed this edge's
     /// pairs and its parity exchange is in flight (or succeeded —
     /// cleared only by a reject, which regenerates).
@@ -282,12 +249,10 @@ struct PathRequest {
     pair_fidelities: Vec<Vec<f64>>,
     /// Link pairs delivered for this request so far.
     pairs_consumed: u32,
-    /// Interpreted (RuleSet) attempt: the compiled per-edge pair
-    /// needs, in path-edge order. `None` for hard-coded attempts —
-    /// whose CREATE counts come from `link_purify` — and `Some` for
-    /// interpreted ones, whose regeneration is demand-driven
-    /// ([`SwapAsapNode::take_create_demand`]).
-    edge_needs: Option<Vec<u8>>,
+    /// The compiled per-edge pair needs, in path-edge order: the
+    /// initial CREATE count of each edge (regeneration after that is
+    /// demand-driven, [`SwapAsapNode::take_create_demand`]).
+    edge_needs: Vec<u8>,
     /// Retry/identity state the attempt was issued under.
     seed: AttemptSeed,
 }
@@ -299,7 +264,6 @@ struct ParkedReroute {
     src: usize,
     dst: usize,
     fmin: f64,
-    link_purify: bool,
     seed: AttemptSeed,
     /// When the pending [`NetEvent::Reissue`] fires — the lookahead
     /// bound entry to tombstone if the request is cancelled first.
@@ -334,11 +298,10 @@ struct AttemptSeed {
     /// Attempt number, starting at 0; a [`NetEvent::RequestTimeout`]
     /// carrying an older number is stale and ignored.
     attempt: u64,
-    /// The RuleSet policy the request was issued under (`None` =
-    /// hard-coded machine) — pinned like `armed`, so re-routed
-    /// attempts recompile the same tables whatever
-    /// [`Network::set_ruleset_policy`] says by then.
-    policy: Option<Policy>,
+    /// The RuleSet policy the request was issued under — pinned like
+    /// `armed`, so re-routed attempts recompile (and re-price) the
+    /// same tables whatever the network's policy inputs say by then.
+    policy: Policy,
 }
 
 /// One completed stream of an end-to-end distillation group, parked
@@ -368,12 +331,9 @@ struct PairGroup {
     /// Swaps and pairs across every attempt, rejected ones included.
     swaps: u32,
     pairs_consumed: u32,
-    /// Whether member streams purify their edges — pinned at group
-    /// creation so regeneration ignores later policy changes.
-    link_purify: bool,
     /// The RuleSet policy member streams run under — pinned at group
-    /// creation like `link_purify`.
-    policy: Option<Policy>,
+    /// creation so regeneration ignores later policy changes.
+    policy: Policy,
     /// Failure-detection state pinned at group creation
     /// (armed / timeout / retry budget): regenerated member streams
     /// are issued under it, not under whatever the network's knobs
@@ -455,7 +415,6 @@ pub struct Network {
     reroutes: u64,
     timed_out: u64,
     outcomes: Vec<EndToEndOutcome>,
-    trace: Option<Vec<TraceEntry>>,
     /// The telemetry layer (see [`crate::obs`]): request-lifecycle
     /// spans, histogram metrics, engine profiling. `None` (the
     /// default) records nothing; recording is passive either way —
@@ -472,9 +431,8 @@ pub struct Network {
     retract_on_cancel: bool,
     metric: Box<dyn RouteMetric + Send>,
     purify: PurifyPolicy,
-    /// When set, new requests run under the interpreted RuleSet
-    /// control plane instead of the hard-coded machine — see
-    /// [`Network::set_ruleset_policy`].
+    /// When set, overrides `purify` as the RuleSet policy new
+    /// requests run — see [`Network::set_ruleset_policy`].
     ruleset: Option<Policy>,
     planner: Option<RoutePlanner>,
     edge_load: Vec<u32>,
@@ -589,7 +547,6 @@ impl Network {
             reroutes: 0,
             timed_out: 0,
             outcomes: Vec::new(),
-            trace: None,
             telemetry,
             retract_on_cancel: false,
             metric: Box::new(HopCount),
@@ -608,18 +565,6 @@ impl Network {
             net.schedule_wake(link);
         }
         net
-    }
-
-    /// Starts recording the shared-clock activity trace (off by
-    /// default — multi-second runs produce millions of entries).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The recorded trace (empty unless [`Network::enable_trace`] was
-    /// called before running).
-    pub fn trace(&self) -> &[TraceEntry] {
-        self.trace.as_deref().unwrap_or(&[])
     }
 
     /// Switches the telemetry layer (see [`crate::obs`]) on or off,
@@ -717,7 +662,10 @@ impl Network {
     /// [`PurifyPolicy::EndToEnd`] makes
     /// [`Network::request_entanglement`] run two concurrent streams
     /// and distill their delivered end-to-end pairs into one. The
-    /// default is [`PurifyPolicy::Off`].
+    /// default is [`PurifyPolicy::Off`]. Requests run the RuleSet
+    /// table the policy names ([`Policy::SwapAsap`],
+    /// [`Policy::LinkPurify`], [`Policy::EndToEndPurify`]) unless
+    /// [`Network::set_ruleset_policy`] overrides it.
     ///
     /// In-flight requests keep the policy they were issued under.
     pub fn set_purify_policy(&mut self, policy: PurifyPolicy) {
@@ -729,38 +677,37 @@ impl Network {
         self.purify
     }
 
-    /// Runs new requests under the interpreted RuleSet control plane:
-    /// at issue time the [`Policy`] is compiled to a
-    /// [`crate::ruleset::RuleSet`] table, installed on every path
-    /// node, and interpreted on each observation — the hard-coded
-    /// `SwapAsapNode` transition code never runs for those requests.
-    /// `Policy::SwapAsap` reproduces the hard-coded machine
-    /// bit-for-bit; `Policy::LinkPurify` reproduces
-    /// [`PurifyPolicy::LinkLevel`]; `Policy::EndToEndPurify` runs the
-    /// two-stream end-to-end group with interpreted members. `None`
-    /// (the default) restores the hard-coded machine.
-    ///
-    /// When a policy is set it also takes over edge pricing in
-    /// planning (via [`PlanContext::ruleset`]), so the network's
-    /// [`PurifyPolicy`] knob is ignored for new requests.
+    /// Selects the RuleSet policy new requests run: at issue time the
+    /// [`Policy`] is compiled to a [`crate::ruleset::RuleSet`] table,
+    /// installed on every path node, and interpreted on each
+    /// observation; it also prices edges in planning (via
+    /// [`PlanContext::policy`]). `Policy::EndToEndPurify` runs the
+    /// two-stream end-to-end group. `None` (the default) means "the
+    /// table the [`PurifyPolicy`] input names" — see
+    /// [`Network::set_purify_policy`]; `Some` overrides that input.
     ///
     /// In-flight requests keep the policy they were issued under.
     pub fn set_ruleset_policy(&mut self, policy: Option<Policy>) {
         self.ruleset = policy;
     }
 
-    /// The RuleSet policy applied to new requests, if any.
+    /// The RuleSet policy override applied to new requests, if any.
     pub fn ruleset_policy(&self) -> Option<Policy> {
         self.ruleset
     }
 
-    /// The policy individual member streams are issued under:
-    /// end-to-end distillation is group-level machinery (the member
-    /// streams themselves run plain SWAP-ASAP, exactly as under
-    /// [`PurifyPolicy::EndToEnd`]).
-    fn member_ruleset(&self) -> Option<Policy> {
-        match self.ruleset {
-            Some(Policy::EndToEndPurify) => Some(Policy::SwapAsap),
+    /// The policy new requests run: the override if set, else the
+    /// table the purification input names.
+    fn policy(&self) -> Policy {
+        self.ruleset.unwrap_or(self.purify.into())
+    }
+
+    /// The policy individual streams are issued under: end-to-end
+    /// distillation is group-level machinery (the member streams
+    /// themselves run plain SWAP-ASAP tables).
+    fn stream_policy(&self) -> Policy {
+        match self.policy() {
+            Policy::EndToEndPurify => Policy::SwapAsap,
             other => other,
         }
     }
@@ -841,6 +788,12 @@ impl Network {
     /// and everything downstream of it — is bit-identical across
     /// [`ExecMode::Sequential`] and [`ExecMode::Sharded`], and runs
     /// that never arm a workload draw nothing from it at all.
+    ///
+    /// An admitted arrival whose pair the fault layer has disconnected
+    /// at that instant is counted admitted and abandoned at once: it
+    /// never holds a slot, and the accounting identities
+    /// (`offered = admitted + dropped + queued`,
+    /// `admitted = completed + abandoned + in_flight`) keep holding.
     ///
     /// Workload-tracked completions are folded straight into
     /// [`Network::workload_stats`] and **not** pushed onto the
@@ -956,10 +909,11 @@ impl Network {
     /// Faults hit the *quantum* links only: classical control
     /// channels stay up, keeping [`Topology::min_control_delay`] (and
     /// with it the parallel lookahead bound) valid. A plan that
-    /// disconnects a pair a request is later issued for makes that
-    /// issue panic ("no path"), exactly like a statically
-    /// disconnected pair — run fault plans on topologies that stay
-    /// connected (a grid survives any single edge).
+    /// disconnects a pair makes a closed-loop
+    /// [`Network::request_entanglement`] for it panic ("no path"),
+    /// exactly like a statically disconnected pair; an open-loop
+    /// workload arrival for it is admitted and abandoned on the spot
+    /// (see [`Network::set_workload`]).
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.penalty_box = Some(PenaltyBox::new(self.topo.edge_count(), plan.penalty));
         for (delay, kind) in plan.expand(&mut self.fault_rng) {
@@ -1155,15 +1109,13 @@ impl Network {
         k: usize,
         exclude: &[usize],
     ) -> Vec<Route> {
-        self.plan_with_policy(src, dst, fmin, k, exclude, self.purify, self.ruleset)
+        self.plan_with_policy(src, dst, fmin, k, exclude, self.policy())
     }
 
     /// The planning primitive: current metric + live loads, explicit
-    /// exclusions, and an explicit purification policy (re-routes
-    /// price under the policy their request was *issued* with, not
-    /// the network's current one). A `ruleset` policy takes over edge
-    /// pricing from `purify` when present.
-    #[allow(clippy::too_many_arguments)]
+    /// exclusions, and an explicit RuleSet policy (re-routes price
+    /// under the policy their request was *issued* with, not the
+    /// network's current one).
     fn plan_with_policy(
         &mut self,
         src: usize,
@@ -1171,8 +1123,7 @@ impl Network {
         fmin: f64,
         k: usize,
         exclude: &[usize],
-        purify: PurifyPolicy,
-        ruleset: Option<Policy>,
+        policy: Policy,
     ) -> Vec<Route> {
         if self.planner.is_none() {
             self.planner = Some(RoutePlanner::new(&self.topo));
@@ -1205,11 +1156,10 @@ impl Network {
             self.metric.as_ref(),
             fmin,
             &PlanContext {
-                purify,
+                policy,
                 loads: &self.edge_load,
                 exclude,
                 penalties: &self.penalty_snapshot,
-                ruleset,
             },
         )
     }
@@ -1243,7 +1193,9 @@ impl Network {
     ///     crate::chain::RepeaterChain::generate_end_to_end
     ///
     /// # Panics
-    /// Panics if no path connects the nodes.
+    /// Panics if no path connects the nodes. (Open-loop arrivals for a
+    /// pair the fault layer has disconnected are counted abandoned
+    /// instead — see [`Network::set_workload`].)
     ///
     /// # Examples
     ///
@@ -1266,21 +1218,28 @@ impl Network {
     /// assert!(out.end_to_end_fidelity > 0.25);
     /// ```
     pub fn request_entanglement(&mut self, src: usize, dst: usize, fmin: f64) -> u64 {
-        if self.purify == PurifyPolicy::EndToEnd || self.ruleset == Some(Policy::EndToEndPurify) {
-            return self.request_entanglement_distilled(src, dst, fmin);
+        self.try_request_entanglement(src, dst, fmin)
+            .unwrap_or_else(|| panic!("no path from {src} to {dst}"))
+    }
+
+    /// [`Network::request_entanglement`] for a pair that may currently
+    /// be disconnected: `None`, with nothing issued, when no path
+    /// connects the nodes.
+    fn try_request_entanglement(&mut self, src: usize, dst: usize, fmin: f64) -> Option<u64> {
+        if self.policy() == Policy::EndToEndPurify {
+            return self.try_request_distilled(src, dst, fmin);
         }
         let route = self
             .plan_route(src, dst, fmin)
             // No serving path: reserve the best-effort route and let
             // the links UNSUPP it (the request times out gracefully).
-            .or_else(|| self.plan_route(src, dst, 0.0))
-            .unwrap_or_else(|| panic!("no path from {src} to {dst}"));
-        self.request_on_path(&route.nodes, fmin)
+            .or_else(|| self.plan_route(src, dst, 0.0))?;
+        Some(self.request_on_path(&route.nodes, fmin))
     }
 
     /// Requests one end-to-end pair produced by 2→1 distillation of
     /// two concurrent streams (what [`Network::request_entanglement`]
-    /// issues under [`PurifyPolicy::EndToEnd`]): the streams split
+    /// issues under [`Policy::EndToEndPurify`]): the streams split
     /// over edge-disjoint routes where the topology has them, and when
     /// both deliver, the path ends measure, exchange the parity bit
     /// across the whole path's control channels, and either emit one
@@ -1291,6 +1250,14 @@ impl Network {
     /// # Panics
     /// Panics if no path connects the nodes.
     pub fn request_entanglement_distilled(&mut self, src: usize, dst: usize, fmin: f64) -> u64 {
+        self.try_request_distilled(src, dst, fmin)
+            .unwrap_or_else(|| panic!("no path from {src} to {dst}"))
+    }
+
+    /// [`Network::request_entanglement_distilled`], `None` (nothing
+    /// issued) when no path connects the nodes.
+    fn try_request_distilled(&mut self, src: usize, dst: usize, fmin: f64) -> Option<u64> {
+        let routes = self.select_routes(src, dst, fmin, 2)?;
         let group = self.next_request;
         self.next_request += 1;
         // The group id gets its own issue span: its Deliver (and thus
@@ -1300,7 +1267,7 @@ impl Network {
             let now = self.queue.now();
             tl.emit(now, group, 0, SpanStage::Issue { src, dst, fmin });
         }
-        let members = self.request_entanglement_multipath(src, dst, fmin, 2);
+        let members = self.issue_streams(&routes, fmin, 2);
         let members: [u64; 2] = [members[0], members[1]];
         let mut routes: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
         for (i, m) in members.iter().enumerate() {
@@ -1318,14 +1285,13 @@ impl Network {
                 done: Vec::new(),
                 swaps: 0,
                 pairs_consumed: 0,
-                link_purify: self.ruleset.is_none() && self.purify == PurifyPolicy::LinkLevel,
-                policy: self.member_ruleset(),
+                policy: self.stream_policy(),
                 armed: self.reroute_enabled(),
                 timeout: self.request_timeout,
                 retries: self.retry_budget,
             },
         );
-        group
+        Some(group)
     }
 
     /// Requests entanglement between the ends of an explicit node
@@ -1337,14 +1303,6 @@ impl Network {
     /// Panics if the path has fewer than two nodes or consecutive
     /// nodes are not connected.
     pub fn request_on_path(&mut self, path: &[usize], fmin: f64) -> u64 {
-        let link_purify = self.ruleset.is_none() && self.purify == PurifyPolicy::LinkLevel;
-        self.issue_on_path(path, fmin, link_purify)
-    }
-
-    /// [`Network::request_on_path`] with the edge-purification choice
-    /// pinned by the caller, issued under the network's current
-    /// failure-detection knobs.
-    fn issue_on_path(&mut self, path: &[usize], fmin: f64, link_purify: bool) -> u64 {
         let seed = AttemptSeed {
             armed: self.reroute_enabled(),
             timeout: self.request_timeout,
@@ -1353,25 +1311,19 @@ impl Network {
             requested_at: self.queue.now(),
             group: None,
             attempt: 0,
-            policy: self.member_ruleset(),
+            policy: self.stream_policy(),
         };
-        self.issue_fresh(path, fmin, link_purify, seed)
+        self.issue_fresh(path, fmin, seed)
     }
 
     /// Allocates a new request id and issues its first attempt under
     /// an explicit seed — group regeneration builds the seed from the
     /// state its group was *created* with, whatever the network's
     /// knobs say by then.
-    fn issue_fresh(
-        &mut self,
-        path: &[usize],
-        fmin: f64,
-        link_purify: bool,
-        seed: AttemptSeed,
-    ) -> u64 {
+    fn issue_fresh(&mut self, path: &[usize], fmin: f64, seed: AttemptSeed) -> u64 {
         let id = self.next_request;
         self.next_request += 1;
-        self.issue_attempt(id, path, fmin, link_purify, seed);
+        self.issue_attempt(id, path, fmin, seed);
         id
     }
 
@@ -1379,14 +1331,7 @@ impl Network {
     /// id, under the given retry/identity state — both the first
     /// attempt of a fresh request and every re-routed attempt land
     /// here.
-    fn issue_attempt(
-        &mut self,
-        id: u64,
-        path: &[usize],
-        fmin: f64,
-        link_purify: bool,
-        seed: AttemptSeed,
-    ) {
+    fn issue_attempt(&mut self, id: u64, path: &[usize], fmin: f64, seed: AttemptSeed) {
         assert!(path.len() >= 2, "a path needs two ends");
         let path = path.to_vec();
         let edges = self.topo.path_edges(&path);
@@ -1418,23 +1363,20 @@ impl Network {
             self.edge_load[e] += 1;
         }
 
-        // An interpreted attempt compiles its policy to a rule table
-        // once and installs per-edge programs (purification rounds,
-        // chosen against the planner's FEU fidelity estimate) on every
-        // path node. Building the planner is deterministic and draws
-        // no RNG, so doing it lazily here cannot move a bit.
-        let compiled = seed.policy.map(|pol| {
-            if self.planner.is_none() {
-                self.planner = Some(RoutePlanner::new(&self.topo));
-            }
-            let planner = self.planner.as_ref().expect("planner just built");
-            let rules = Arc::new(pol.ruleset());
-            let programs: Vec<ArmProgram> = edges
-                .iter()
-                .map(|&e| rules.edge_program(planner.profile(e).fidelity))
-                .collect();
-            (rules, programs)
-        });
+        // The attempt compiles its policy to a rule table once and
+        // installs per-edge programs (purification rounds, chosen
+        // against the planner's FEU fidelity estimate) on every path
+        // node. Building the planner is deterministic and draws no
+        // RNG, so doing it lazily here cannot move a bit.
+        if self.planner.is_none() {
+            self.planner = Some(RoutePlanner::new(&self.topo));
+        }
+        let planner = self.planner.as_ref().expect("planner just built");
+        let rules = Arc::new(seed.policy.ruleset());
+        let programs: Vec<ArmProgram> = edges
+            .iter()
+            .map(|&e| rules.edge_program(planner.profile(e).fidelity))
+            .collect();
         let repeaters = (path.len() - 2) as u32;
         for (i, &n) in path.iter().enumerate() {
             let role = if i == 0 {
@@ -1453,20 +1395,14 @@ impl Network {
                     right: edges[i],
                 }
             };
-            if let Some((rules, programs)) = &compiled {
-                let (left, right) = if i == 0 {
-                    (programs[0], ArmProgram::default())
-                } else if i == path.len() - 1 {
-                    (programs[i - 1], ArmProgram::default())
-                } else {
-                    (programs[i - 1], programs[i])
-                };
-                self.nodes[n].reserve_ruleset(id, role, rules.clone(), left, right);
-            } else if link_purify {
-                self.nodes[n].reserve_purified(id, role);
+            let (left, right) = if i == 0 {
+                (programs[0], ArmProgram::default())
+            } else if i == path.len() - 1 {
+                (programs[i - 1], ArmProgram::default())
             } else {
-                self.nodes[n].reserve(id, role);
-            }
+                (programs[i - 1], programs[i])
+            };
+            self.nodes[n].reserve(id, role, rules.clone(), left, right);
         }
         // Arm this attempt's failure detection (no event at all when
         // the request was issued without a timeout — earlier PRs'
@@ -1489,13 +1425,10 @@ impl Network {
                 ends_ready: [None, None],
                 frame: (0, 0),
                 swaps: 0,
-                link_purify,
                 purify_pending: vec![false; edges.len()],
                 pair_fidelities: vec![Vec::new(); edges.len()],
                 pairs_consumed: 0,
-                edge_needs: compiled
-                    .as_ref()
-                    .map(|(_, programs)| programs.iter().map(|p| p.need()).collect()),
+                edge_needs: programs.iter().map(|p| p.need()).collect(),
                 path,
                 edges,
                 seed,
@@ -1532,6 +1465,21 @@ impl Network {
         streams: usize,
     ) -> Vec<u64> {
         assert!(streams >= 1, "no streams requested");
+        let selected = self
+            .select_routes(src, dst, fmin, streams)
+            .unwrap_or_else(|| panic!("no path from {src} to {dst}"));
+        self.issue_streams(&selected, fmin, streams)
+    }
+
+    /// The routes [`Network::request_entanglement_multipath`] splits
+    /// `streams` over, or `None` when no path connects the nodes.
+    fn select_routes(
+        &mut self,
+        src: usize,
+        dst: usize,
+        fmin: f64,
+        streams: usize,
+    ) -> Option<Vec<Route>> {
         // A disjoint route ranked below non-disjoint ones can sit
         // beyond the first `streams` candidates, so grow the pool
         // until greedy selection is satisfied or the graph (or the
@@ -1546,7 +1494,9 @@ impl Network {
                 // the links will UNSUPP (streams time out gracefully).
                 routes = self.plan_routes(src, dst, 0.0, k);
             }
-            assert!(!routes.is_empty(), "no path from {src} to {dst}");
+            if routes.is_empty() {
+                return None;
+            }
             let exhausted = routes.len() < k;
             selected.clear();
             for r in routes {
@@ -1562,9 +1512,14 @@ impl Network {
             }
             k = (k * 2).min(cap);
         }
+        Some(selected)
+    }
+
+    /// Issues `streams` requests round-robin over `routes`.
+    fn issue_streams(&mut self, routes: &[Route], fmin: f64, streams: usize) -> Vec<u64> {
         (0..streams)
             .map(|i| {
-                let nodes = selected[i % selected.len()].nodes.clone();
+                let nodes = routes[i % routes.len()].nodes.clone();
                 self.request_on_path(&nodes, fmin)
             })
             .collect()
@@ -1810,12 +1765,6 @@ impl Network {
         }
     }
 
-    fn record(&mut self, at: SimTime, kind: TraceKind) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEntry { at, kind });
-        }
-    }
-
     /// (Re)schedules the wake for a link's next internal event. Any
     /// previously scheduled wake becomes stale via the generation
     /// counter.
@@ -1834,7 +1783,6 @@ impl Network {
                 if gen != self.wake_gen[link] {
                     return; // superseded by a later-scheduled, earlier wake
                 }
-                self.record(t, TraceKind::LinkWake(link));
                 self.links[link].advance_to(t);
                 let deliveries = self.links[link].drain_deliveries();
                 for d in deliveries {
@@ -1848,7 +1796,6 @@ impl Network {
             }
             NetEvent::Control { at, msg } => {
                 self.cr_pending.fired(t);
-                self.record(t, TraceKind::Control(at));
                 match msg {
                     ControlMsg::Reserve { request } => self.on_reserve(request, at),
                     ControlMsg::SwapResult {
@@ -1937,8 +1884,10 @@ impl Network {
         match wl.admit_decision(class) {
             Admission::Admit => {
                 let fmin = wl.class(class).fmin;
-                let id = self.request_entanglement(pair.0, pair.1, fmin);
-                wl.register(id, class, t, t);
+                match self.try_request_entanglement(pair.0, pair.1, fmin) {
+                    Some(id) => wl.register(id, class, t, t),
+                    None => wl.abandon_unroutable(class, t, t),
+                }
                 if let Some(tl) = self.telemetry.as_deref_mut() {
                     tl.on_admit(class, 0.0);
                 }
@@ -1963,8 +1912,10 @@ impl Network {
         };
         while let Some(q) = wl.pop_admittable() {
             let fmin = wl.class(q.class).fmin;
-            let id = self.request_entanglement(q.pair.0, q.pair.1, fmin);
-            wl.register(id, q.class, q.arrived_at, t);
+            match self.try_request_entanglement(q.pair.0, q.pair.1, fmin) {
+                Some(id) => wl.register(id, q.class, q.arrived_at, t),
+                None => wl.abandon_unroutable(q.class, q.arrived_at, t),
+            }
             if let Some(tl) = self.telemetry.as_deref_mut() {
                 tl.on_admit(q.class, t.since(q.arrived_at).as_secs_f64());
             }
@@ -2019,17 +1970,11 @@ impl Network {
     }
 
     /// Issues every NL CREATE path edge position `pos` of `request`
-    /// needs: one pair normally, two under link-level purification.
+    /// needs: the compiled program's initial pair need for the edge
+    /// (two for a distilling program, one otherwise).
     fn submit_edge_creates(&mut self, request: u64, pos: usize, fmin: f64) {
-        let pairs = match self.requests.get(&request) {
-            Some(req) => match &req.edge_needs {
-                // Interpreted attempt: initial CREATE count is the
-                // compiled program's pair need for this edge.
-                Some(needs) => needs[pos],
-                None if req.link_purify => 2,
-                None => 1,
-            },
-            None => return,
+        let Some(pairs) = self.requests.get(&request).map(|req| req.edge_needs[pos]) else {
+            return;
         };
         for _ in 0..pairs {
             self.submit_nl(request, pos, fmin);
@@ -2244,7 +2189,6 @@ impl Network {
 
         if req.seed.retries_left == 0 {
             self.timed_out += 1;
-            self.record(t, TraceKind::Timeout(request));
             if let Some(tl) = self.telemetry.as_deref_mut() {
                 tl.on_abandon();
                 tl.emit(
@@ -2269,7 +2213,6 @@ impl Network {
         // never touch it) desynchronises the retry storm of streams
         // that all timed out at the same instant.
         self.reroutes += 1;
-        self.record(t, TraceKind::Reroute(request));
         if let Some(tl) = self.telemetry.as_deref_mut() {
             tl.on_reroute();
             tl.emit(
@@ -2296,7 +2239,6 @@ impl Network {
                 src: req.path[0],
                 dst: *req.path.last().expect("a path has two ends"),
                 fmin: req.fmin,
-                link_purify: req.link_purify,
                 seed: AttemptSeed {
                     excluded,
                     retries_left: req.seed.retries_left - 1,
@@ -2318,29 +2260,24 @@ impl Network {
         let Some(p) = self.parked.remove(&request) else {
             return; // cancelled while parked
         };
-        let policy = if p.link_purify {
-            PurifyPolicy::LinkLevel
-        } else {
-            PurifyPolicy::Off
-        };
-        let ruleset = p.seed.policy;
+        let policy = p.seed.policy;
         let route = self
-            .plan_with_policy(p.src, p.dst, p.fmin, 1, &p.seed.excluded, policy, ruleset)
+            .plan_with_policy(p.src, p.dst, p.fmin, 1, &p.seed.excluded, policy)
             .into_iter()
             .next()
             .or_else(|| {
-                self.plan_with_policy(p.src, p.dst, p.fmin, 1, &[], policy, ruleset)
+                self.plan_with_policy(p.src, p.dst, p.fmin, 1, &[], policy)
                     .into_iter()
                     .next()
             })
             .or_else(|| {
-                self.plan_with_policy(p.src, p.dst, 0.0, 1, &[], policy, ruleset)
+                self.plan_with_policy(p.src, p.dst, 0.0, 1, &[], policy)
                     .into_iter()
                     .next()
             });
         let Some(route) = route else {
-            // Disconnected pair (cannot happen for a request that was
-            // issued at all): abandon.
+            // Disconnected pair: the fault layer took down every path
+            // between the ends while the stream was parked. Abandon.
             self.timed_out += 1;
             if let Some(group) = p.seed.group {
                 self.abandon_group(group, request);
@@ -2358,7 +2295,7 @@ impl Network {
                 }
             }
         }
-        self.issue_attempt(request, &route.nodes, p.fmin, p.link_purify, p.seed);
+        self.issue_attempt(request, &route.nodes, p.fmin, p.seed);
     }
 
     /// A member stream of an end-to-end distillation group was
@@ -2389,7 +2326,6 @@ impl Network {
         };
         self.pending_creates
             .remove(&(edge_idx, d.origin, d.create_id));
-        self.record(t, TraceKind::Delivery(edge_idx));
         if self.telemetry.is_some() {
             let attempt = self.requests.get(&request).map_or(0, |r| r.seed.attempt);
             let tl = self.telemetry.as_deref_mut().expect("just checked");
@@ -2444,7 +2380,7 @@ impl Network {
         }
     }
 
-    /// Surfaces the rule-firing log an interpreted node accumulated
+    /// Surfaces the rule-firing log a node accumulated
     /// during its last observation as [`SpanStage::RuleFired`] spans.
     /// The log is always drained (the node buffers unconditionally so
     /// its decision path is identical either way), but spans are only
@@ -2555,7 +2491,6 @@ impl Network {
                 });
             }
         }
-        self.record(t, TraceKind::Purify(edge_idx));
         // Each endpoint learns the verdict when the partner's parity
         // bit crosses the edge's control channel.
         let edge = self.topo.edge(edge_idx);
@@ -2575,10 +2510,11 @@ impl Network {
         }
     }
 
-    /// Delivers a link-level purification verdict to `at`: the node
-    /// machine advances (possibly unlocking a swap or completion), and
-    /// on a reject the edge's CREATE-issuing endpoint regenerates the
-    /// two pairs.
+    /// Delivers a link-level purification verdict to `at`: the node's
+    /// table advances (possibly unlocking a swap or completion), and
+    /// the edge's CREATE-issuing endpoint submits the fresh pairs the
+    /// table demands (a full batch after a reject, one pumping pair
+    /// after a mid-program accept).
     fn on_purify_result(
         &mut self,
         request: u64,
@@ -2601,40 +2537,11 @@ impl Network {
         if let Some(action) = action {
             self.apply_action(at, action, t);
         }
-        // Interpreted attempt: regeneration is demand-driven — the
-        // rule table decided how many fresh pairs this edge needs
-        // (one to pump an accepted round, the program's full need
-        // after a reject, zero when the program completed).
-        if self
-            .requests
-            .get(&request)
-            .is_some_and(|r| r.edge_needs.is_some())
-        {
-            let demand = self.nodes[at].take_create_demand(request, edge);
-            let Some(req) = self.requests.get_mut(&request) else {
-                return;
-            };
-            let Some(pos) = req.edges.iter().position(|&e| e == edge) else {
-                return;
-            };
-            // Only the endpoint that submits this edge's CREATEs
-            // restarts generation (its partner drained an identical
-            // demand above and drops it here).
-            if req.path[pos] != at {
-                return;
-            }
-            if demand > 0 {
-                req.purify_pending[pos] = false;
-                let fmin = req.fmin;
-                for _ in 0..demand {
-                    self.submit_nl(request, pos, fmin);
-                }
-            }
-            return;
-        }
-        if accepted {
-            return;
-        }
+        // Regeneration is demand-driven: the rule table decided how
+        // many fresh pairs this edge needs (one to pump an accepted
+        // round, the program's full need after a reject, zero when
+        // the program completed).
+        let demand = self.nodes[at].take_create_demand(request, edge);
         let Some(req) = self.requests.get_mut(&request) else {
             return;
         };
@@ -2642,19 +2549,21 @@ impl Network {
             return;
         };
         // Only the endpoint that submits this edge's CREATEs restarts
-        // generation (its partner received the same verdict).
-        if req.path[pos] != at {
+        // generation (its partner drained an identical demand above
+        // and drops it here).
+        if req.path[pos] != at || demand == 0 {
             return;
         }
         req.purify_pending[pos] = false;
         let fmin = req.fmin;
-        self.submit_edge_creates(request, pos, fmin);
+        for _ in 0..demand {
+            self.submit_nl(request, pos, fmin);
+        }
     }
 
     /// Executes a repeater's entanglement swap on the quantum ledger
     /// and broadcasts the Bell-measurement outcome to both ends.
     fn do_swap(&mut self, node: usize, request: u64, t: SimTime) {
-        self.record(t, TraceKind::Swap(node));
         if self.telemetry.is_some() {
             let attempt = self.requests.get(&request).map_or(0, |r| r.seed.attempt);
             self.telemetry.as_deref_mut().expect("just checked").emit(
@@ -2795,7 +2704,6 @@ impl Network {
             self.nodes[n].release(request);
         }
         self.release_edge_load(request, &req.edges);
-        self.record(t, TraceKind::Complete(request));
         debug_assert_eq!(req.segments.len(), 1, "completion with fragmented path");
         let mut seg = req.segments.into_iter().next().expect("spanning segment");
         // The pair keeps decaying until the later end learned its
@@ -2930,7 +2838,6 @@ impl Network {
             g.done.clear();
             let routes = g.routes.clone();
             let fmin = g.fmin;
-            let link_purify = g.link_purify;
             let (armed, timeout, retries) = (g.armed, g.timeout, g.retries);
             let policy = g.policy;
             let mut members = [0u64; 2];
@@ -2949,7 +2856,7 @@ impl Network {
                     attempt: 0,
                     policy,
                 };
-                members[i] = self.issue_fresh(route, fmin, link_purify, seed);
+                members[i] = self.issue_fresh(route, fmin, seed);
             }
             self.groups.get_mut(&group).expect("group survives").members = members;
             return;
@@ -2961,7 +2868,6 @@ impl Network {
         // The surviving pair decayed while the parity bits travelled.
         kept.segment.decay_to(t);
         let fidelity = bell_fidelity(&kept.segment.state, (0, 1), BellState::PhiPlus);
-        self.record(t, TraceKind::Complete(group));
         let latency = t.since(g.requested_at);
         if let Some(tl) = self.telemetry.as_deref_mut() {
             tl.on_complete(t, fidelity, latency);

@@ -1,4 +1,4 @@
-//! Per-node SWAP-ASAP protocol state machines.
+//! The per-node protocol engine: installed RuleSet tables.
 //!
 //! Each node of the topology runs one [`SwapAsapNode`]. For every
 //! path reservation it plays one of two roles: an *end* (source or
@@ -12,34 +12,26 @@
 //! its path edges exist; hence SWAP-ASAP, the greedy policy of the
 //! repeater literature, e.g. arXiv:2111.11332's chain demonstration).
 //!
-//! Under link-level purification (reservations made with
-//! [`SwapAsapNode::reserve_purified`]) an edge must deliver **two**
-//! pairs before it is usable: the second delivery arms the
+//! Every reservation runs an installed [`RuleSet`] table through the
+//! [`crate::ruleset`] interpreter: the network compiles the request's
+//! [`Policy`](crate::ruleset::Policy) once at issue time and hands
+//! each path node its role plus the per-edge programs
+//! ([`SwapAsapNode::reserve`]). SWAP-ASAP and link-level purification
+//! are both tables. Under a purifying table an edge must deliver
+//! **two** pairs before it is usable: the second delivery arms the
 //! purification rule — the node emits [`NodeAction::Purify`], the
 //! local halves are measured, and the edge stays unusable until the
 //! partner's parity bit arrives over the classical control channel
-//! ([`SwapAsapNode::on_purify_result`]). An agreeing parity makes the
-//! edge ready (one boosted pair); a disagreeing one discards both
-//! pairs and the counting starts over. This is the RuleSet shape of
+//! ([`SwapAsapNode::on_purify_result`]). This is the RuleSet shape of
 //! Matsuo et al.: purification and swapping are both rules the same
-//! per-node machine schedules, purify strictly before swap.
+//! per-node interpreter schedules, purify strictly before swap.
 //!
-//! The node machines are pure decision logic: they never touch the
+//! The nodes are pure decision logic: they never touch the
 //! event queue or the quantum ledger. The [`crate::network::Network`]
 //! feeds them observations (pair deliveries, purify results,
 //! swap-result messages) and executes the [`NodeAction`]s they emit,
 //! which keeps every quantum operation and every classical
 //! transmission on the shared clock.
-//!
-//! Reservations come in two flavours: the hard-coded machine above
-//! ([`SwapAsapNode::reserve`] / [`SwapAsapNode::reserve_purified`]),
-//! and interpreted reservations
-//! ([`SwapAsapNode::reserve_ruleset`]) that run an installed
-//! [`RuleSet`] table through the
-//! [`crate::ruleset`] interpreter instead. Both flavours consume the
-//! same observations and emit the same [`NodeAction`]s; the
-//! interpreted SWAP-ASAP table is bit-identical to the hard-coded
-//! path (see `crate::ruleset`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -101,75 +93,10 @@ pub enum NodeAction {
     },
 }
 
-/// Per-edge delivery/purification bookkeeping inside one reservation.
-#[derive(Debug, Clone, Copy, Default)]
-struct EdgeState {
-    /// Pairs delivered toward the current usable pair.
-    pairs: u8,
-    /// Parity bits in flight: measured, awaiting the partner's bit.
-    purifying: bool,
-    /// The edge holds its usable (possibly distilled) pair.
-    ready: bool,
-}
-
-impl EdgeState {
-    /// Registers one delivery; returns `true` when the purification
-    /// rule arms (second pair of a purifying edge).
-    fn on_pair(&mut self, need: u8) -> bool {
-        if self.ready || self.purifying {
-            return false;
-        }
-        self.pairs += 1;
-        if self.pairs < need {
-            return false;
-        }
-        if need == 1 {
-            self.ready = true;
-            false
-        } else {
-            self.purifying = true;
-            true
-        }
-    }
-}
-
-#[derive(Debug)]
-struct PathState {
-    role: PathRole,
-    /// Pairs an edge must deliver before it is usable (2 = purify).
-    need: u8,
-    left: EdgeState,
-    right: EdgeState,
-    swapped: bool,
-    swap_results: u32,
-    frame_z: u8,
-    frame_x: u8,
-}
-
-impl PathState {
-    fn edge_state(&mut self, edge: usize) -> Option<&mut EdgeState> {
-        match self.role {
-            PathRole::End { edge: own, .. } => (edge == own).then_some(&mut self.left),
-            PathRole::Repeater { left, right } => {
-                if edge == left {
-                    Some(&mut self.left)
-                } else if edge == right {
-                    Some(&mut self.right)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-}
-
 /// The SWAP-ASAP state machine of one network node.
 #[derive(Debug, Default)]
 pub struct SwapAsapNode {
-    paths: HashMap<u64, PathState>,
-    /// Interpreted reservations: per-request installed RuleSet state
-    /// (see [`crate::ruleset`]). Disjoint from `paths` by the
-    /// reservation assertions.
+    /// Per-request installed RuleSet state (see [`crate::ruleset`]).
     rules: HashMap<u64, RuleState>,
     /// Rules the interpreter fired, FIFO — drained by the network
     /// layer into passive telemetry via [`SwapAsapNode::pop_fired`].
@@ -188,19 +115,14 @@ impl SwapAsapNode {
 
     /// Number of in-flight path reservations at this node.
     pub fn active_paths(&self) -> usize {
-        self.paths.len() + self.rules.len()
+        self.rules.len()
     }
 
     /// The in-flight request ids reserved at this node, ascending.
     /// Reservations are independent per request, so one node serves
     /// any number of concurrent paths (its own or other pairs').
     pub fn active_requests(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .paths
-            .keys()
-            .chain(self.rules.keys())
-            .copied()
-            .collect();
+        let mut ids: Vec<u64> = self.rules.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -209,71 +131,30 @@ impl SwapAsapNode {
     /// node-local view of the contention the EGP distributed queue
     /// arbitrates when concurrent requests share a link.
     pub fn reserved_on_edge(&self, edge: usize) -> usize {
-        let uses = |role: PathRole| match role {
-            PathRole::End { edge: own, .. } => own == edge,
-            PathRole::Repeater { left, right } => left == edge || right == edge,
-        };
-        self.paths.values().filter(|st| uses(st.role)).count()
-            + self.rules.values().filter(|st| uses(st.role())).count()
-    }
-
-    /// Reserves this node for a path with the given role (one pair per
-    /// edge — no purification).
-    ///
-    /// # Panics
-    /// Panics if the request is already reserved here.
-    pub fn reserve(&mut self, request: u64, role: PathRole) {
-        self.reserve_with_need(request, role, 1);
-    }
-
-    /// Reserves this node for a path whose edges purify: every edge
-    /// needs two delivered pairs, distilled into one via
-    /// [`NodeAction::Purify`] / [`SwapAsapNode::on_purify_result`],
-    /// before the SWAP-ASAP rules may consume it.
-    ///
-    /// # Panics
-    /// Panics if the request is already reserved here.
-    pub fn reserve_purified(&mut self, request: u64, role: PathRole) {
-        self.reserve_with_need(request, role, 2);
-    }
-
-    fn reserve_with_need(&mut self, request: u64, role: PathRole, need: u8) {
-        assert!(
-            !self.rules.contains_key(&request),
-            "request {request} reserved twice"
-        );
-        let prev = self.paths.insert(
-            request,
-            PathState {
-                role,
-                need,
-                left: EdgeState::default(),
-                right: EdgeState::default(),
-                swapped: false,
-                swap_results: 0,
-                frame_z: 0,
-                frame_x: 0,
-            },
-        );
-        assert!(prev.is_none(), "request {request} reserved twice");
+        self.rules
+            .values()
+            .filter(|st| match st.role() {
+                PathRole::End { edge: own, .. } => own == edge,
+                PathRole::Repeater { left, right } => left == edge || right == edge,
+            })
+            .count()
     }
 
     /// `true` while `request` holds a reservation at this node.
     pub fn is_reserved(&self, request: u64) -> bool {
-        self.paths.contains_key(&request) || self.rules.contains_key(&request)
+        self.rules.contains_key(&request)
     }
 
-    /// Reserves this node for a path that runs an installed
-    /// [`RuleSet`] instead of the hard-coded
-    /// machine: observations route through the [`crate::ruleset`]
-    /// interpreter, whose emissions convert 1:1 into the same
-    /// [`NodeAction`]s. `left` / `right` are the compiled per-edge
-    /// programs of the role's arms (an end uses `left` for its single
-    /// edge; `right` is ignored).
+    /// Reserves this node for a path with the given role, running the
+    /// installed [`RuleSet`]: observations route through the
+    /// [`crate::ruleset`] interpreter, whose emissions convert 1:1
+    /// into [`NodeAction`]s. `left` / `right` are the compiled
+    /// per-edge programs of the role's arms (an end uses `left` for
+    /// its single edge; `right` is ignored).
     ///
     /// # Panics
     /// Panics if the request is already reserved here.
-    pub fn reserve_ruleset(
+    pub fn reserve(
         &mut self,
         request: u64,
         role: PathRole,
@@ -281,10 +162,6 @@ impl SwapAsapNode {
         left: ArmProgram,
         right: ArmProgram,
     ) {
-        assert!(
-            !self.paths.contains_key(&request),
-            "request {request} reserved twice"
-        );
         let prev = self
             .rules
             .insert(request, RuleState::new(rules, role, left, right));
@@ -293,7 +170,7 @@ impl SwapAsapNode {
 
     /// Drains the fresh-pair demand the interpreter accumulated for
     /// `request` on `edge` (pump / regenerate actions). Zero for
-    /// hard-coded reservations and unknown edges.
+    /// unknown requests and edges.
     pub fn take_create_demand(&mut self, request: u64, edge: usize) -> u8 {
         match self.rules.get_mut(&request) {
             Some(st) => st.take_demand(edge),
@@ -313,10 +190,10 @@ impl SwapAsapNode {
         }
     }
 
-    /// Routes an observation through the interpreter of an interpreted
-    /// reservation, converting its emission into a [`NodeAction`] and
-    /// keeping the public counters in step with the hard-coded path.
-    fn observe_rules(&mut self, request: u64, obs: Obs) -> Option<NodeAction> {
+    /// Routes an observation through the reservation's interpreter,
+    /// converting its emission into a [`NodeAction`] and keeping the
+    /// public counters in step.
+    fn observe(&mut self, request: u64, obs: Obs) -> Option<NodeAction> {
         let st = self.rules.get_mut(&request)?;
         let emit = st.observe(request, obs, &mut self.fired)?;
         Some(match emit {
@@ -346,121 +223,57 @@ impl SwapAsapNode {
     /// releases along the *old* path, which may no longer include
     /// this node.
     pub fn release(&mut self, request: u64) -> bool {
-        let hard = self.paths.remove(&request).is_some();
-        let interpreted = self.rules.remove(&request).is_some();
-        hard || interpreted
+        self.rules.remove(&request).is_some()
     }
 
     /// Observation: a link pair on `edge` now exists for `request`.
     /// Returns the action this unlocks, if any.
     pub fn on_pair(&mut self, request: u64, edge: usize) -> Option<NodeAction> {
-        if self.rules.contains_key(&request) {
-            return self.observe_rules(request, Obs::PairArrived { edge });
-        }
-        let st = self.paths.get_mut(&request)?;
-        let need = st.need;
-        let armed = st.edge_state(edge)?.on_pair(need);
-        if armed {
-            self.purifications_started += 1;
-            return Some(NodeAction::Purify { request, edge });
-        }
-        self.unlock(request)
+        self.observe(request, Obs::PairArrived { edge })
     }
 
     /// Observation: the partner's parity bit for the purification on
-    /// `edge` arrived. An agreeing parity (`accepted`) makes the edge
-    /// ready; a disagreement discards both pairs — the edge counts
-    /// deliveries from zero again.
+    /// `edge` arrived. An agreeing parity completes a distillation
+    /// round; a disagreement discards the edge's pairs and the table
+    /// demands a fresh batch ([`SwapAsapNode::take_create_demand`]).
     pub fn on_purify_result(
         &mut self,
         request: u64,
         edge: usize,
         accepted: bool,
     ) -> Option<NodeAction> {
-        if self.rules.contains_key(&request) {
-            return self.observe_rules(request, Obs::Parity { edge, accepted });
-        }
-        let st = self.paths.get_mut(&request)?;
-        let es = st.edge_state(edge)?;
-        if !es.purifying {
-            return None;
-        }
-        es.purifying = false;
-        if accepted {
-            es.ready = true;
-            self.unlock(request)
-        } else {
-            es.pairs = 0;
-            None
-        }
+        self.observe(request, Obs::Parity { edge, accepted })
     }
 
     /// Observation: a repeater's swap result (the two BSM bits)
     /// arrived at this node. Ends fold it into their Pauli frame;
     /// repeaters ignore it.
     pub fn on_swap_result(&mut self, request: u64, z: u8, x: u8) -> Option<NodeAction> {
-        if self.rules.contains_key(&request) {
-            return self.observe_rules(request, Obs::SwapResult { z, x });
-        }
-        let st = self.paths.get_mut(&request)?;
-        let PathRole::End { .. } = st.role else {
-            return None;
-        };
-        st.swap_results += 1;
-        st.frame_z ^= z;
-        st.frame_x ^= x;
-        self.unlock(request)
-    }
-
-    /// Checks whether a reservation's standing rules fire: a repeater
-    /// swaps once both edges are ready; an end reports once its edge
-    /// is ready and every expected swap result arrived. Either fires
-    /// at most once (latched by `swapped`).
-    fn unlock(&mut self, request: u64) -> Option<NodeAction> {
-        let st = self.paths.get_mut(&request)?;
-        if st.swapped {
-            return None;
-        }
-        match st.role {
-            PathRole::Repeater { left, right } => {
-                if st.left.ready && st.right.ready {
-                    st.swapped = true;
-                    self.swaps_performed += 1;
-                    Some(NodeAction::Swap {
-                        request,
-                        left,
-                        right,
-                    })
-                } else {
-                    None
-                }
-            }
-            PathRole::End { expected_swaps, .. } => {
-                if st.left.ready && st.swap_results >= expected_swaps {
-                    // `swapped` doubles as the ends' "ready already
-                    // reported" latch so completion fires exactly once.
-                    st.swapped = true;
-                    Some(NodeAction::EndReady {
-                        request,
-                        frame_z: st.frame_z,
-                        frame_x: st.frame_x,
-                    })
-                } else {
-                    None
-                }
-            }
-        }
+        self.observe(request, Obs::SwapResult { z, x })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ruleset::Policy;
+
+    /// Reserves `request` under the table `policy` compiles to.
+    fn reserve(n: &mut SwapAsapNode, policy: Policy, request: u64, role: PathRole) {
+        let rules = Arc::new(policy.ruleset());
+        let program = rules.edge_program(0.9);
+        n.reserve(request, role, rules, program, program);
+    }
 
     #[test]
     fn repeater_swaps_exactly_when_both_sides_arrive() {
         let mut n = SwapAsapNode::new();
-        n.reserve(1, PathRole::Repeater { left: 0, right: 1 });
+        reserve(
+            &mut n,
+            Policy::SwapAsap,
+            1,
+            PathRole::Repeater { left: 0, right: 1 },
+        );
         assert_eq!(n.on_pair(1, 0), None);
         assert_eq!(
             n.on_pair(1, 1),
@@ -478,7 +291,9 @@ mod tests {
     #[test]
     fn end_waits_for_pair_and_all_results() {
         let mut n = SwapAsapNode::new();
-        n.reserve(
+        reserve(
+            &mut n,
+            Policy::SwapAsap,
             7,
             PathRole::End {
                 edge: 2,
@@ -503,7 +318,9 @@ mod tests {
     #[test]
     fn single_hop_end_is_ready_on_delivery() {
         let mut n = SwapAsapNode::new();
-        n.reserve(
+        reserve(
+            &mut n,
+            Policy::SwapAsap,
             3,
             PathRole::End {
                 edge: 0,
@@ -523,7 +340,9 @@ mod tests {
     #[test]
     fn frame_accumulates_by_xor() {
         let mut n = SwapAsapNode::new();
-        n.reserve(
+        reserve(
+            &mut n,
+            Policy::SwapAsap,
             9,
             PathRole::End {
                 edge: 0,
@@ -547,9 +366,21 @@ mod tests {
     #[test]
     fn concurrent_requests_are_tracked_independently() {
         let mut n = SwapAsapNode::new();
-        n.reserve(1, PathRole::Repeater { left: 0, right: 1 });
-        n.reserve(2, PathRole::Repeater { left: 0, right: 2 });
-        n.reserve(
+        reserve(
+            &mut n,
+            Policy::SwapAsap,
+            1,
+            PathRole::Repeater { left: 0, right: 1 },
+        );
+        reserve(
+            &mut n,
+            Policy::SwapAsap,
+            2,
+            PathRole::Repeater { left: 0, right: 2 },
+        );
+        reserve(
+            &mut n,
+            Policy::SwapAsap,
             5,
             PathRole::End {
                 edge: 1,
@@ -583,7 +414,12 @@ mod tests {
         assert_eq!(n.on_pair(99, 0), None);
         assert_eq!(n.on_swap_result(99, 1, 1), None);
         assert_eq!(n.on_purify_result(99, 0, true), None);
-        n.reserve(1, PathRole::Repeater { left: 0, right: 1 });
+        reserve(
+            &mut n,
+            Policy::SwapAsap,
+            1,
+            PathRole::Repeater { left: 0, right: 1 },
+        );
         n.release(1);
         assert_eq!(n.on_pair(1, 0), None);
     }
@@ -593,7 +429,12 @@ mod tests {
         let mut n = SwapAsapNode::new();
         assert!(!n.is_reserved(5));
         assert!(!n.release(5), "releasing a stranger is a no-op");
-        n.reserve(5, PathRole::Repeater { left: 0, right: 1 });
+        reserve(
+            &mut n,
+            Policy::SwapAsap,
+            5,
+            PathRole::Repeater { left: 0, right: 1 },
+        );
         assert!(n.is_reserved(5));
         assert!(n.release(5));
         assert!(!n.is_reserved(5));
@@ -603,7 +444,12 @@ mod tests {
     #[test]
     fn purifying_repeater_arms_purify_then_swaps_on_accepts() {
         let mut n = SwapAsapNode::new();
-        n.reserve_purified(4, PathRole::Repeater { left: 0, right: 1 });
+        reserve(
+            &mut n,
+            Policy::LinkPurify,
+            4,
+            PathRole::Repeater { left: 0, right: 1 },
+        );
         // One pair per edge: nothing fires yet.
         assert_eq!(n.on_pair(4, 0), None);
         assert_eq!(n.on_pair(4, 1), None);
@@ -641,7 +487,9 @@ mod tests {
     #[test]
     fn purify_reject_restarts_the_edge_count() {
         let mut n = SwapAsapNode::new();
-        n.reserve_purified(
+        reserve(
+            &mut n,
+            Policy::LinkPurify,
             6,
             PathRole::End {
                 edge: 3,
@@ -683,7 +531,9 @@ mod tests {
     #[test]
     fn purifying_end_waits_for_swap_results_too() {
         let mut n = SwapAsapNode::new();
-        n.reserve_purified(
+        reserve(
+            &mut n,
+            Policy::LinkPurify,
             8,
             PathRole::End {
                 edge: 0,

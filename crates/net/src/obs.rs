@@ -169,7 +169,7 @@ pub enum SpanStage {
     /// The request was abandoned: its retry budget is exhausted (same
     /// `failed_edge` convention as [`SpanStage::Reroute`]).
     Abandon { failed_edge: Option<usize> },
-    /// A RuleSet rule fired at a path node of an interpreted request
+    /// A RuleSet rule fired at one of the request's path nodes
     /// (see [`crate::ruleset`]): the rule's index in its table and
     /// its action tag. Purely passive — the interpreter's decisions
     /// are identical whether or not the firing is recorded.

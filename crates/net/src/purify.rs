@@ -20,20 +20,16 @@
 //!   distilled into one by the path ends, with the parity bits
 //!   crossing the whole path's control channels.
 //!
-//! The policy also reprices routes: a purifying edge costs twice the
-//! pairs (plus the distillation's expected retries) but carries the
-//! boosted fidelity — see
-//! [`EdgeProfile::purified_fidelity`](crate::route::EdgeProfile) and
-//! [`RouteMetric::purified_cost`](crate::route::RouteMetric).
-//!
-//! The RuleSet control plane ([`crate::ruleset`]) expresses these
-//! same behaviours as interpreted condition→action tables —
-//! [`Policy::LinkPurify`](crate::ruleset::Policy) and
-//! [`Policy::EndToEndPurify`](crate::ruleset::Policy) are
-//! bit-identical to [`PurifyPolicy::LinkLevel`] and
-//! [`PurifyPolicy::EndToEnd`] — and adds data-only variants
-//! (threshold-gated purification, nested pumping) with no hard-coded
-//! analogue.
+//! `PurifyPolicy` is an input only: at issue time the network
+//! converts it into the RuleSet [`Policy`] that actually runs (one
+//! `From` conversion) — `Off` is [`Policy::SwapAsap`], `LinkLevel` is
+//! [`Policy::LinkPurify`], `EndToEnd` is [`Policy::EndToEndPurify`] —
+//! and that table decides the pair counts, the distillation rules and
+//! the route pricing (see [`crate::ruleset`], which also carries the
+//! data-only variants: threshold-gated purification and nested
+//! pumping).
+
+use crate::ruleset::Policy;
 
 /// Where a request applies 2→1 distillation.
 ///
@@ -41,10 +37,10 @@
 ///
 /// ```
 /// use qlink_net::purify::PurifyPolicy;
+/// use qlink_net::ruleset::Policy;
 ///
 /// assert_eq!(PurifyPolicy::default(), PurifyPolicy::Off);
-/// assert_eq!(PurifyPolicy::Off.pairs_per_edge(), 1);
-/// assert_eq!(PurifyPolicy::LinkLevel.pairs_per_edge(), 2);
+/// assert_eq!(Policy::from(PurifyPolicy::LinkLevel), Policy::LinkPurify);
 /// assert_eq!(PurifyPolicy::EndToEnd.name(), "end-to-end");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,19 +65,15 @@ impl PurifyPolicy {
             PurifyPolicy::EndToEnd => "end-to-end",
         }
     }
+}
 
-    /// Link pairs a path edge must deliver before it is usable.
-    pub fn pairs_per_edge(self) -> u8 {
-        match self {
-            PurifyPolicy::LinkLevel => 2,
-            _ => 1,
+impl From<PurifyPolicy> for Policy {
+    fn from(purify: PurifyPolicy) -> Policy {
+        match purify {
+            PurifyPolicy::Off => Policy::SwapAsap,
+            PurifyPolicy::LinkLevel => Policy::LinkPurify,
+            PurifyPolicy::EndToEnd => Policy::EndToEndPurify,
         }
-    }
-
-    /// `true` when routes should be priced with the purified edge
-    /// figures (only link-level purification changes per-edge cost).
-    pub fn prices_purified_edges(self) -> bool {
-        matches!(self, PurifyPolicy::LinkLevel)
     }
 }
 
@@ -92,11 +84,12 @@ mod tests {
     #[test]
     fn policy_surface() {
         assert_eq!(PurifyPolicy::default(), PurifyPolicy::Off);
-        assert_eq!(PurifyPolicy::Off.pairs_per_edge(), 1);
-        assert_eq!(PurifyPolicy::EndToEnd.pairs_per_edge(), 1);
-        assert_eq!(PurifyPolicy::LinkLevel.pairs_per_edge(), 2);
-        assert!(PurifyPolicy::LinkLevel.prices_purified_edges());
-        assert!(!PurifyPolicy::EndToEnd.prices_purified_edges());
+        assert_eq!(Policy::from(PurifyPolicy::Off), Policy::SwapAsap);
+        assert_eq!(Policy::from(PurifyPolicy::LinkLevel), Policy::LinkPurify);
+        assert_eq!(Policy::from(PurifyPolicy::EndToEnd), Policy::EndToEndPurify);
+        // The link-level table needs two pairs per edge, the others one.
+        assert_eq!(Policy::LinkPurify.ruleset().edge_program(0.9).need(), 2);
+        assert_eq!(Policy::SwapAsap.ruleset().edge_program(0.9).need(), 1);
         assert_eq!(PurifyPolicy::Off.name(), "off");
         assert_eq!(PurifyPolicy::LinkLevel.name(), "link-level");
     }

@@ -37,8 +37,7 @@
 //! profile pairs, and [`EdgeProfile::purified_latency`], the
 //! double-pair-plus-retries generation cost), and
 //! [`RouteMetric::purified_cost`] switches a metric onto them when
-//! planning under
-//! [`PurifyPolicy::LinkLevel`](crate::purify::PurifyPolicy) — so
+//! the route runs a purifying RuleSet policy ([`Policy::price`]) — so
 //! [`Network::plan_route`](crate::network::Network::plan_route) faces
 //! the real fidelity-vs-throughput tradeoff purification creates.
 //!
@@ -77,7 +76,6 @@
 //! assert!(FidelityProduct.edge_cost(planner.profile(2)) > 0.0);
 //! ```
 
-use crate::purify::PurifyPolicy;
 use crate::ruleset::Policy;
 use crate::topology::Topology;
 use qlink_des::SimDuration;
@@ -440,7 +438,6 @@ impl RoutePlanner {
         fmin: f64,
         ctx: &'a PlanContext<'a>,
     ) -> impl Fn(usize) -> f64 + 'a {
-        let purified = ctx.purify.prices_purified_edges();
         move |edge| {
             let p = &self.profiles[edge];
             let penalty = ctx.penalties.get(edge).copied().unwrap_or(0.0);
@@ -452,11 +449,7 @@ impl RoutePlanner {
                 f64::INFINITY
             } else {
                 let load = ctx.loads.get(edge).copied().unwrap_or(0);
-                let base = match ctx.ruleset {
-                    Some(pol) => pol.price(metric, p, load),
-                    None if purified => metric.purified_load_cost(p, load),
-                    None => metric.load_cost(p, load),
-                };
+                let base = ctx.policy.price(metric, p, load);
                 if penalty > 0.0 {
                     // Penalty-box surcharge: multiplicative so it
                     // bites under every metric, including unit-cost
@@ -484,14 +477,14 @@ impl RoutePlanner {
         metric: &dyn RouteMetric,
         fmin: f64,
     ) -> Option<Route> {
-        self.shortest_path_with(topo, src, dst, metric, fmin, PurifyPolicy::Off)
+        self.shortest_path_with(topo, src, dst, metric, fmin, Policy::SwapAsap)
     }
 
-    /// [`RoutePlanner::shortest_path`] priced under a purification
-    /// policy: with [`PurifyPolicy::LinkLevel`] every edge is charged
-    /// its [`RouteMetric::purified_cost`] — the double-pair, boosted-
-    /// fidelity trade — so latency-style metrics see the real pair
-    /// cost and fidelity-style metrics see the real gain.
+    /// [`RoutePlanner::shortest_path`] priced under a RuleSet policy
+    /// ([`Policy::price`]): with [`Policy::LinkPurify`] every edge is
+    /// charged its [`RouteMetric::purified_cost`] — the double-pair,
+    /// boosted-fidelity trade — so latency-style metrics see the real
+    /// pair cost and fidelity-style metrics see the real gain.
     ///
     /// # Panics
     /// Panics on out-of-range nodes or `src == dst`.
@@ -502,7 +495,7 @@ impl RoutePlanner {
         dst: usize,
         metric: &dyn RouteMetric,
         fmin: f64,
-        purify: PurifyPolicy,
+        policy: Policy,
     ) -> Option<Route> {
         self.shortest_path_in(
             topo,
@@ -511,14 +504,14 @@ impl RoutePlanner {
             metric,
             fmin,
             &PlanContext {
-                purify,
+                policy,
                 ..PlanContext::default()
             },
         )
     }
 
     /// [`RoutePlanner::shortest_path_with`] under a full
-    /// [`PlanContext`]: purification pricing, live per-edge loads
+    /// [`PlanContext`]: policy pricing, live per-edge loads
     /// (each priced through [`RouteMetric::load_cost`]), and an
     /// excluded-edge set (re-routing bars the edges of a failed
     /// attempt).
@@ -551,10 +544,10 @@ impl RoutePlanner {
         metric: &dyn RouteMetric,
         fmin: f64,
     ) -> Vec<Route> {
-        self.k_shortest_paths_with(topo, src, dst, k, metric, fmin, PurifyPolicy::Off)
+        self.k_shortest_paths_with(topo, src, dst, k, metric, fmin, Policy::SwapAsap)
     }
 
-    /// [`RoutePlanner::k_shortest_paths`] priced under a purification
+    /// [`RoutePlanner::k_shortest_paths`] priced under a RuleSet
     /// policy (see [`RoutePlanner::shortest_path_with`]).
     ///
     /// # Panics
@@ -568,7 +561,7 @@ impl RoutePlanner {
         k: usize,
         metric: &dyn RouteMetric,
         fmin: f64,
-        purify: PurifyPolicy,
+        policy: Policy,
     ) -> Vec<Route> {
         self.k_shortest_paths_in(
             topo,
@@ -578,7 +571,7 @@ impl RoutePlanner {
             metric,
             fmin,
             &PlanContext {
-                purify,
+                policy,
                 ..PlanContext::default()
             },
         )
@@ -607,14 +600,17 @@ impl RoutePlanner {
 /// The situational half of a planning query: everything beyond the
 /// metric and the fidelity floor that shapes an edge's price.
 ///
-/// The default context — no purification, no loads, nothing excluded
-/// — reproduces the static planning of
+/// The default context — plain SWAP-ASAP pricing, no loads, nothing
+/// excluded — reproduces the static planning of
 /// [`RoutePlanner::shortest_path`] exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlanContext<'a> {
-    /// Purification policy the route will run under; purifying
-    /// policies price edges via [`RouteMetric::purified_load_cost`].
-    pub purify: PurifyPolicy,
+    /// The RuleSet policy the route will run under, priced per edge
+    /// via [`Policy::price`]: purifying policies pay
+    /// [`RouteMetric::purified_load_cost`], a threshold policy pays the
+    /// distilled price only on edges its install rule actually gates
+    /// in, and a pumping policy reprices per round.
+    pub policy: Policy,
     /// Live reservation count per edge index
     /// ([`Network::edge_load`](crate::network::Network::edge_load)),
     /// fed to [`RouteMetric::load_cost`]. Edges beyond the slice (or
@@ -629,12 +625,6 @@ pub struct PlanContext<'a> {
     /// currently-down edges), and edges beyond the slice (or an
     /// empty slice) are unpenalized.
     pub penalties: &'a [f64],
-    /// RuleSet policy the route will run under, if the request is
-    /// interpreted (see [`crate::ruleset`]). When set it takes over
-    /// base pricing from `purify` via [`Policy::price`] — a threshold
-    /// policy pays the distilled price only on edges its install rule
-    /// actually gates in, and a pumping policy reprices per round.
-    pub ruleset: Option<Policy>,
 }
 
 /// Edges (and via them, nodes) temporarily removed from the graph
@@ -1061,7 +1051,7 @@ mod tests {
             .shortest_path(&t, 0, 3, &Latency, 0.0)
             .expect("connected");
         let purified = planner
-            .shortest_path_with(&t, 0, 3, &Latency, 0.0, PurifyPolicy::LinkLevel)
+            .shortest_path_with(&t, 0, 3, &Latency, 0.0, Policy::LinkPurify)
             .expect("connected");
         assert_eq!(plain.nodes, purified.nodes, "identical links: same path");
         assert!(purified.cost > plain.cost, "purified edges cost more");

@@ -1,11 +1,10 @@
 //! The RuleSet control plane: per-node protocol logic as *data*.
 //!
-//! Earlier PRs hard-coded every node behaviour into
-//! [`SwapAsapNode`](crate::node::SwapAsapNode)'s state machine: SWAP
-//! as soon as both arms hold a pair, distill first when the network
-//! runs [`PurifyPolicy::LinkLevel`](crate::purify::PurifyPolicy). The
-//! network layer the paper's link layer is built for is meant to be
-//! *programmable* (Matsuo & Van Meter's RuleSet-based simulation,
+//! Every node behaviour — SWAP as soon as both arms hold a pair,
+//! distill first when the request purifies its links — is a rule
+//! table, interpreted by
+//! [`SwapAsapNode`](crate::node::SwapAsapNode). The network layer
+//! the paper's link layer is built for is meant to be *programmable* (Matsuo & Van Meter's RuleSet-based simulation,
 //! arXiv 1908.10758): a connection setup compiles the chosen policy
 //! into a table of `condition → action` rules, installs the table on
 //! every path node, and each node then reacts to local events — pair
@@ -15,8 +14,11 @@
 //! This module is that interpreter:
 //!
 //! * [`Policy`] — the network-facing choice, a small `Copy` value
-//!   carried in every attempt's issue seed. [`Policy::ruleset`]
-//!   compiles it into a [`RuleSet`] at plan time.
+//!   carried in every attempt's issue seed (the network resolves it
+//!   from [`Network::set_ruleset_policy`], else from its
+//!   [`PurifyPolicy`](crate::purify::PurifyPolicy) input).
+//!   [`Policy::ruleset`] compiles it into a [`RuleSet`] at issue
+//!   time.
 //! * [`RuleSet`] / [`Rule`] — an ordered rule table over the typed
 //!   [`Trigger`] / [`Condition`] / [`Action`] vocabulary.
 //!   [`RuleSet::edge_program`] resolves the install-time rules
@@ -28,26 +30,25 @@
 //!   scans the table once in priority order, logs every fired rule
 //!   (for the passive [`SpanStage::RuleFired`] telemetry), and
 //!   returns at most one [`Emit`] — which the node wrapper converts
-//!   into exactly the existing
-//!   [`NodeAction`](crate::node::NodeAction)s, so
-//!   `network.rs` dispatch is unchanged.
+//!   into exactly one
+//!   [`NodeAction`](crate::node::NodeAction) for `network.rs` to
+//!   execute.
 //!
-//! # Bit-identity with the hard-coded machine
+//! # Pinned goldens
 //!
-//! [`Policy::SwapAsap`] interprets to the same decisions, in the same
-//! evaluation order, as the hard-coded `SwapAsapNode` path — it
-//! draws nothing, schedules nothing, and emits the same actions at
-//! the same instants, so whole-suite runs are bit-identical (the
-//! golden tests in `tests/net_ruleset.rs` pin this per seed, and
-//! ARCHITECTURE.md walks the case analysis). [`Policy::LinkPurify`]
-//! is likewise bit-identical to `PurifyPolicy::LinkLevel`.
+//! [`Policy::SwapAsap`], [`Policy::LinkPurify`] and
+//! [`Policy::EndToEndPurify`] reproduce bit for bit — outcomes,
+//! RNG-driven fidelities, latencies and event counts — the run
+//! records of the hard-coded state machine the tables replaced,
+//! recorded before it was deleted and pinned in
+//! `tests/net_ruleset.rs`; ARCHITECTURE.md walks the case analysis.
 //!
-//! # Beyond the hard-coded behaviours
+//! # Threshold and pumping policies
 //!
-//! Two policies exist only as tables: [`Policy::ThresholdPurify`]
-//! distills an edge only when its FEU-estimated fidelity sits below
-//! θ (the install-time [`Condition::FidelityBelow`] gates the
-//! [`Action::SetPurify`] rule), and [`Policy::PumpRounds`] runs k
+//! [`Policy::ThresholdPurify`] distills an edge only when its
+//! FEU-estimated fidelity sits below θ (the install-time
+//! [`Condition::FidelityBelow`] gates the [`Action::SetPurify`]
+//! rule), and [`Policy::PumpRounds`] runs k
 //! nested 2→1 rounds toward the DEJMPS fixed point — each accepted
 //! round keeps the survivor and pumps it with one fresh pair
 //! ([`Action::Pump`]), a reject restarts the edge from scratch
@@ -61,12 +62,12 @@
 //! behaviour stays in the network layer (timeouts, backoff).
 //!
 //! [`SpanStage::RuleFired`]: crate::obs::SpanStage::RuleFired
+//! [`Network::set_ruleset_policy`]: crate::network::Network::set_ruleset_policy
 //!
 //! # Examples
 //!
 //! A custom table, driven directly (the network compiles and installs
-//! tables for you via
-//! [`Network::set_ruleset_policy`](crate::network::Network::set_ruleset_policy)):
+//! tables for you via [`Network::set_ruleset_policy`]):
 //!
 //! ```
 //! use std::sync::Arc;
@@ -101,24 +102,24 @@ use crate::route::{EdgeProfile, RouteMetric};
 /// a request runs. Compiled via [`Policy::ruleset`] when the attempt
 /// is issued and pinned in the attempt seed, so re-routes and group
 /// regeneration keep the policy their request was born with.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Policy {
-    /// The paper's SWAP-ASAP, interpreted: one pair per edge, swap as
-    /// soon as both arms are ready. Bit-identical to the hard-coded
-    /// [`SwapAsapNode`](crate::node::SwapAsapNode) path.
+    /// The paper's SWAP-ASAP: one pair per edge, swap as soon as both
+    /// arms are ready. What
+    /// [`PurifyPolicy::Off`](crate::purify::PurifyPolicy) runs.
+    #[default]
     SwapAsap,
     /// Every edge distills two pairs into one before the SWAP-ASAP
-    /// rules may consume it. Bit-identical to
-    /// [`PurifyPolicy::LinkLevel`](crate::purify::PurifyPolicy).
+    /// rules may consume it. What
+    /// [`PurifyPolicy::LinkLevel`](crate::purify::PurifyPolicy) runs.
     LinkPurify,
     /// End-to-end 2→1 distillation of two concurrent streams; the
     /// member streams themselves run [`Policy::SwapAsap`] tables.
-    /// The network analogue of
-    /// [`PurifyPolicy::EndToEnd`](crate::purify::PurifyPolicy).
+    /// What [`PurifyPolicy::EndToEnd`](crate::purify::PurifyPolicy)
+    /// runs.
     EndToEndPurify,
     /// Distill an edge only when its FEU-estimated profile fidelity
     /// sits below `theta`; good edges skip the double-pair price.
-    /// Exists only as rule data — there is no hard-coded analogue.
     ThresholdPurify {
         /// Estimated-fidelity threshold below which an edge purifies.
         theta: f64,
@@ -128,7 +129,7 @@ pub enum Policy {
     /// fresh pair, climbing toward the DEJMPS fixed point. A rejected
     /// parity restarts the edge from scratch. `rounds == 1` behaves
     /// like [`Policy::LinkPurify`]; `rounds == 0` like
-    /// [`Policy::SwapAsap`]. Exists only as rule data.
+    /// [`Policy::SwapAsap`].
     PumpRounds {
         /// Accepted distillation rounds each edge must complete.
         rounds: u8,
@@ -175,9 +176,7 @@ impl Policy {
         RuleSet { rules }
     }
 
-    /// The plan-time price of an edge under this policy — the RuleSet
-    /// analogue of
-    /// [`PurifyPolicy::prices_purified_edges`](crate::purify::PurifyPolicy::prices_purified_edges):
+    /// The plan-time price of an edge under this policy:
     /// non-purifying policies pay the raw [`RouteMetric::load_cost`],
     /// always-purifying ones the distilled
     /// [`RouteMetric::purified_load_cost`], the threshold policy picks
@@ -449,8 +448,8 @@ struct ArmRuntime {
     demand: u8,
 }
 
-/// An observation fed to [`RuleState::observe`] — the same three the
-/// hard-coded machine reacts to.
+/// An observation fed to [`RuleState::observe`]: a pair delivery, a
+/// parity verdict, or a swap result.
 #[derive(Debug, Clone, Copy)]
 pub enum Obs {
     /// A link pair was delivered on `edge`.
@@ -564,10 +563,9 @@ impl RuleState {
     /// Absorbed observations — a delivery on a ready or distilling
     /// arm, a parity with no distillation in flight, a swap result at
     /// a repeater, anything on an unknown edge — return `None`
-    /// without scanning: the hard-coded machine provably takes no
-    /// action on them either (its state transitions all *latch*, so a
+    /// without scanning: the arm state transitions all *latch*, so a
     /// standing rule can never become newly true at an absorbed
-    /// observation), and skipping the scan keeps the fired-rule log
+    /// observation, and skipping the scan keeps the fired-rule log
     /// clean of no-op entries.
     pub fn observe(&mut self, request: u64, obs: Obs, log: &mut Vec<FiredRule>) -> Option<Emit> {
         let (trigger, arm_edge) = match obs {
@@ -607,8 +605,7 @@ impl RuleState {
 
     /// Drains the accumulated fresh-pair demand of the arm on `edge`
     /// (zero for unknown edges). The network layer converts it into
-    /// NL CREATEs at the parity-result instant, mirroring the
-    /// hard-coded regeneration path.
+    /// NL CREATEs at the parity-result instant.
     pub fn take_demand(&mut self, edge: usize) -> u8 {
         match self.arm_mut(edge) {
             Some(arm) => std::mem::take(&mut arm.demand),

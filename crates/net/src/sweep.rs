@@ -113,17 +113,18 @@ pub enum FaultChoice {
     },
 }
 
-/// Which control plane a sweep run's nodes execute (the data-only
+/// Which RuleSet policy a sweep run's nodes execute (the data-only
 /// `Copy` stand-in for [`Network::set_ruleset_policy`], so specs stay
 /// trivially `Send` + `Clone` across worker threads).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PolicyChoice {
-    /// The hard-coded `SwapAsapNode` machine (the default; every
-    /// earlier PR's behaviour, bit-for-bit).
+    /// The table the spec's [`ScenarioSpec::purify`] input names (the
+    /// default): [`Policy::SwapAsap`], [`Policy::LinkPurify`] or
+    /// [`Policy::EndToEndPurify`].
     #[default]
-    Hardcoded,
-    /// The interpreted RuleSet control plane, compiled from the given
-    /// [`Policy`] at issue time ([`crate::ruleset`]).
+    Purify,
+    /// The given [`Policy`], compiled at issue time
+    /// ([`crate::ruleset`]); the spec's `purify` input is ignored.
     Rules(Policy),
 }
 
@@ -131,7 +132,7 @@ impl PolicyChoice {
     /// Display name (reports, benches).
     pub fn name(&self) -> &'static str {
         match self {
-            PolicyChoice::Hardcoded => "hardcoded",
+            PolicyChoice::Purify => "purify",
             PolicyChoice::Rules(p) => p.name(),
         }
     }
@@ -249,11 +250,10 @@ pub struct ScenarioSpec {
     /// default, which arms no plan and reproduces earlier PRs'
     /// results bit-for-bit).
     pub faults: FaultChoice,
-    /// Control plane of every round's requests
-    /// ([`PolicyChoice::Hardcoded`] by default, which never touches
-    /// the RuleSet machinery and reproduces earlier PRs' results
-    /// bit-for-bit). Under [`PolicyChoice::Rules`] the run's requests
-    /// are interpreted and the spec's `purify` knob is ignored.
+    /// RuleSet policy of every round's requests
+    /// ([`PolicyChoice::Purify`] by default: the table `purify`
+    /// names). Under [`PolicyChoice::Rules`] the spec's `purify`
+    /// input is ignored.
     pub ruleset: PolicyChoice,
 }
 
@@ -282,7 +282,7 @@ impl ScenarioSpec {
             exec: ExecChoice::Auto,
             workload: None,
             faults: FaultChoice::None,
-            ruleset: PolicyChoice::Hardcoded,
+            ruleset: PolicyChoice::Purify,
         }
     }
 
@@ -403,8 +403,8 @@ impl ScenarioSpec {
         self
     }
 
-    /// Builder: run the round requests under the interpreted RuleSet
-    /// control plane (see [`PolicyChoice`]).
+    /// Builder: run the round requests under `policy` instead of the
+    /// table `purify` names (see [`PolicyChoice`]).
     pub fn with_ruleset(mut self, policy: Policy) -> Self {
         self.ruleset = PolicyChoice::Rules(policy);
         self
@@ -814,10 +814,11 @@ fn run_one_granted(spec: &ScenarioSpec, seed: u64, granted: usize) -> RunRecord 
         // EndToEnd a round is one logical request per pair (two
         // internal streams distilled into one delivered pair).
         let requests: Vec<u64> = if spec.pairs.is_empty() {
-            let end_to_end = match spec.ruleset {
-                PolicyChoice::Hardcoded => spec.purify == PurifyPolicy::EndToEnd,
-                PolicyChoice::Rules(p) => p == Policy::EndToEndPurify,
+            let policy = match spec.ruleset {
+                PolicyChoice::Purify => Policy::from(spec.purify),
+                PolicyChoice::Rules(p) => p,
             };
+            let end_to_end = policy == Policy::EndToEndPurify;
             if streams == 1 || end_to_end {
                 vec![net.request_entanglement(0, dst, spec.fmin)]
             } else {

@@ -77,10 +77,8 @@ pub use qlink_wire as wire;
 
 /// The most commonly used types, for glob import.
 ///
-/// `RepeaterChain` here is the network-layer one — every hop on one
-/// shared event queue under SWAP-ASAP control. The deprecated
-/// independent-queue version survives as
-/// [`sim::chain::RepeaterChain`](crate::sim::chain).
+/// `RepeaterChain` is the network-layer one — every hop on one shared
+/// event queue under SWAP-ASAP control.
 pub mod prelude {
     pub use crate::des::{DetRng, SimDuration, SimTime};
     pub use crate::net::chain::RepeaterChain;

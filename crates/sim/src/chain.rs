@@ -1,20 +1,10 @@
-//! A minimal network layer: repeater chains over link-layer services.
+//! Repeater-chain building blocks shared with the network layer.
 //!
-//! **Deprecated shim.** This module predates the real network layer in
-//! `qlink-net`: here every hop runs as an *independent*
-//! [`crate::link::LinkSimulation`] with its own event queue, advanced
-//! in coarse lock-step slices — there is no shared clock, no
-//! inter-node messaging and no topology. Use
-//! `qlink_net::chain::RepeaterChain` (or `qlink_net::Network`
-//! directly), which drives all links of a topology on one shared
-//! discrete-event queue under SWAP-ASAP control. Only the pure
-//! fidelity-composition helper [`swap_chain`] and the
-//! [`ChainOutcome`] record remain first-class: `qlink-net` reuses
-//! both.
+//! The pure fidelity-composition helper [`swap_chain`] and the
+//! [`ChainOutcome`] record `qlink_net::chain::RepeaterChain` reports.
+//! The chain itself — every hop on one shared discrete-event queue
+//! under SWAP-ASAP control — lives in `qlink-net`.
 
-use crate::config::{LinkConfig, RequestKind};
-use crate::link::LinkSimulation;
-use crate::workload::GeneratedRequest;
 use qlink_des::{DetRng, SimDuration};
 use qlink_quantum::bell::{bell_fidelity, werner_from_fidelity, BellState};
 use qlink_quantum::ops::entanglement_swap;
@@ -27,142 +17,9 @@ pub struct ChainOutcome {
     pub link_fidelities: Vec<f64>,
     /// Fidelity of the end-to-end pair after all swaps.
     pub end_to_end_fidelity: f64,
-    /// Simulated time until the *slowest* link delivered (links
-    /// generate concurrently, per the paper's NL rationale).
+    /// True simulated latency: CREATE submission until both ends
+    /// hold the usable end-to-end pair.
     pub generation_time: SimDuration,
-}
-
-/// A chain of independently simulated links joined by swapping.
-///
-/// # Migration to `qlink_net::chain::RepeaterChain`
-///
-/// The `qlink-net` replacement keeps this type's surface — build from
-/// per-hop [`LinkConfig`]s, ask for one end-to-end pair at a time —
-/// so migrating is a one-line import change:
-///
-/// ```text
-/// - use qlink_sim::chain::RepeaterChain;   // or qlink::sim::chain::
-/// + use qlink_net::chain::RepeaterChain;   // or qlink::prelude::
-/// ```
-///
-/// Behavioural differences to expect:
-///
-/// * hops run on **one shared event queue** (a single `SimTime`
-///   stream) instead of independent queues in 500 ms lock-step
-///   slices;
-/// * intermediate nodes swap the instant both their pairs exist
-///   (SWAP-ASAP), and Bell-measurement outcomes travel classical
-///   control channels with real propagation delay;
-/// * `ChainOutcome::generation_time` reports the true simulated
-///   CREATE→frame-fixed latency, not the slowest link's delivery
-///   time, so latencies are slightly longer and fidelities slightly
-///   lower (the pair decays until the ends learn their Pauli frame).
-#[deprecated(
-    since = "0.1.0",
-    note = "use qlink_net::chain::RepeaterChain: all links on one shared event queue under SWAP-ASAP control"
-)]
-pub struct RepeaterChain {
-    links: Vec<LinkSimulation>,
-    rng: DetRng,
-}
-
-#[allow(deprecated)]
-impl RepeaterChain {
-    /// Builds a chain from per-hop link configurations (N configs =
-    /// N+1 nodes). Each hop gets an independent seed derived from its
-    /// config's.
-    ///
-    /// # Panics
-    /// Panics if `configs` is empty.
-    pub fn new(configs: Vec<LinkConfig>) -> Self {
-        assert!(!configs.is_empty(), "a chain needs at least one hop");
-        let seed = configs[0].seed;
-        RepeaterChain {
-            links: configs.into_iter().map(LinkSimulation::new).collect(),
-            rng: DetRng::new(seed ^ 0xc4a1_u64),
-        }
-    }
-
-    /// Number of hops.
-    pub fn hops(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Produces one end-to-end pair: submits an NL request on every
-    /// hop, runs all hops concurrently until each has delivered (or
-    /// `max_time` passes), then swaps at the intermediate nodes.
-    ///
-    /// Returns `None` if any hop failed to deliver within `max_time`.
-    pub fn generate_end_to_end(
-        &mut self,
-        fmin: f64,
-        max_time: SimDuration,
-    ) -> Option<ChainOutcome> {
-        // Reserve the path: one NL request per hop (priority 1,
-        // purpose-tagged — §4.1.1's NL path reservation).
-        for link in &mut self.links {
-            link.submit(
-                0,
-                GeneratedRequest {
-                    kind: RequestKind::Nl,
-                    pairs: 1,
-                    origin: 0,
-                    fmin,
-                    tmax_us: 0,
-                },
-            );
-        }
-        // Run all hops concurrently in slices until every link has a
-        // pair (the network layer's "produce pairwise entanglement
-        // concurrently ... with minimal delay"). Slices never overrun
-        // `max_time`: a delivery that would only happen beyond the
-        // deadline must not count (the request has expired).
-        let slice = SimDuration::from_millis(500);
-        let mut elapsed = SimDuration::ZERO;
-        let baseline: Vec<u64> = self
-            .links
-            .iter()
-            .map(|l| l.metrics.kind_total(RequestKind::Nl).pairs_delivered)
-            .collect();
-        let mut generation_time = SimDuration::ZERO;
-        loop {
-            if elapsed >= max_time {
-                return None;
-            }
-            let step = slice.min(max_time - elapsed);
-            let mut all_done = true;
-            for (i, link) in self.links.iter_mut().enumerate() {
-                let done = link.metrics.kind_total(RequestKind::Nl).pairs_delivered > baseline[i];
-                if !done {
-                    link.run_for(step);
-                    let now_done =
-                        link.metrics.kind_total(RequestKind::Nl).pairs_delivered > baseline[i];
-                    if now_done {
-                        generation_time = generation_time.max(elapsed + step);
-                    } else {
-                        all_done = false;
-                    }
-                }
-            }
-            elapsed += step;
-            if all_done {
-                break;
-            }
-        }
-
-        // Collect per-link fidelities and swap them up pairwise.
-        let link_fidelities: Vec<f64> = self
-            .links
-            .iter()
-            .map(|l| l.metrics.kind_total(RequestKind::Nl).fidelity.mean())
-            .collect();
-        let end_to_end_fidelity = swap_chain(&link_fidelities, &mut self.rng);
-        Some(ChainOutcome {
-            link_fidelities,
-            end_to_end_fidelity,
-            generation_time,
-        })
-    }
 }
 
 /// Fuses a path of link fidelities into one end-to-end fidelity by
@@ -183,9 +40,7 @@ pub fn swap_chain(link_fidelities: &[f64], rng: &mut DetRng) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
     use super::*;
-    use crate::workload::WorkloadSpec;
 
     #[test]
     fn swap_chain_of_one_is_identity() {
@@ -222,40 +77,5 @@ mod tests {
         let strong = swap_chain(&[0.9, 0.9], &mut rng);
         let weak = swap_chain(&[0.9, 0.6], &mut rng);
         assert!(weak < strong);
-    }
-
-    #[test]
-    fn two_hop_lab_chain_end_to_end() {
-        // Two full Lab links through the complete stack.
-        let mk = |seed| LinkConfig::lab(WorkloadSpec::none(), seed);
-        let mut chain = RepeaterChain::new(vec![mk(31), mk(32)]);
-        assert_eq!(chain.hops(), 2);
-        let out = chain
-            .generate_end_to_end(0.6, SimDuration::from_secs(20))
-            .expect("both hops deliver in 20 s");
-        assert_eq!(out.link_fidelities.len(), 2);
-        for f in &out.link_fidelities {
-            assert!(*f > 0.55, "link fidelity {f}");
-        }
-        assert!(
-            out.end_to_end_fidelity
-                < *out
-                    .link_fidelities
-                    .iter()
-                    .min_by(|a, b| a.partial_cmp(b).unwrap())
-                    .unwrap(),
-            "swap must cost fidelity"
-        );
-        assert!(out.end_to_end_fidelity > 0.4);
-        assert!(out.generation_time > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn chain_times_out_when_a_hop_cannot_deliver() {
-        let mk = |seed| LinkConfig::lab(WorkloadSpec::none(), seed);
-        let mut chain = RepeaterChain::new(vec![mk(41)]);
-        // 1 ms is far too short for any delivery (psucc ≈ 1e-4/cycle).
-        let out = chain.generate_end_to_end(0.6, SimDuration::from_millis(1));
-        assert!(out.is_none());
     }
 }

@@ -17,8 +17,8 @@
 //! * [`metrics`] — throughput, request/pair/scaled latency, fidelity,
 //!   QBER, queue lengths, error counts, fairness splits and the time
 //!   series of the appendix figures;
-//! * [`chain`] — **deprecated** independent-queue repeater chains;
-//!   superseded by the shared-clock network layer in `qlink-net`.
+//! * [`chain`] — the Werner swap-composition helper and the
+//!   end-to-end outcome record the `qlink-net` repeater chain reports.
 
 pub mod chain;
 pub mod config;
@@ -26,8 +26,6 @@ pub mod link;
 pub mod metrics;
 pub mod workload;
 
-#[allow(deprecated)]
-pub use chain::RepeaterChain;
 pub use config::{LinkConfig, RequestKind, SchedulerChoice, UsagePattern};
 pub use link::{Delivery, LinkSimulation};
 pub use metrics::LinkMetrics;

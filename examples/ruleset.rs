@@ -1,14 +1,14 @@
 //! The RuleSet control plane: protocol logic as data.
 //!
-//! Per-node behaviour is no longer hard-coded — a [`Policy`] compiles
+//! Per-node behaviour is data — a [`Policy`] compiles
 //! into an ordered table of condition→action rules installed on every
 //! path node, and a tiny interpreter replays them per event. This
 //! example runs **threshold purification** (distill only the edges
 //! whose estimated fidelity sits below θ) side by side with **always
 //! purify** ([`Policy::LinkPurify`]) and **never purify**
-//! ([`Policy::SwapAsap`]) on the same seeds, then shows the
-//! bit-identity anchor: the interpreted tables reproduce the
-//! hard-coded policies exactly.
+//! ([`Policy::SwapAsap`]) on the same seeds, then checks the golden
+//! anchor: the link-purify table reproduces, bit for bit, the record
+//! pinned from the hard-coded engine it replaced.
 //!
 //! Run with:
 //! ```sh
@@ -19,15 +19,22 @@ use qlink::net::ruleset::Policy;
 use qlink::net::sweep::{run_one, RunRecord};
 use qlink::prelude::*;
 
-fn fingerprint(r: &RunRecord) -> (u32, u32, u64, u64, u64) {
+fn fingerprint(r: &RunRecord) -> (u32, u32, u64, u64, u64, u64) {
     (
         r.successes,
         r.timeouts,
         r.pairs_consumed,
+        r.events,
         r.fidelity.mean().to_bits(),
         r.latency_s.mean().to_bits(),
     )
 }
+
+/// The record of the anchor scenario below (5-node chain, 2 rounds,
+/// link-level purification, seed 7), recorded from the hard-coded
+/// `PurifyPolicy::LinkLevel` engine before it was deleted.
+const LINK_PURIFY_GOLDEN: (u32, u32, u64, u64, u64, u64) =
+    (2, 0, 26, 3_315_991, 0x3fd61a9e6af180a0, 0x3fe25de334bf2ee0);
 
 fn mixed_chain() -> Topology {
     Topology::chain(5, |i| {
@@ -105,27 +112,25 @@ fn main() {
         );
     }
 
-    // The anchor the whole subsystem rests on: interpretation is
-    // bit-identical to the hard-coded policies it replaces.
-    let base = || {
-        ScenarioSpec::lab_chain("", 5)
-            .with_rounds(2)
-            .with_max_time(SimDuration::from_secs(60))
-            .with_carbon_t2(10.0)
-    };
-    let hard = run_one(&base().with_purify(PurifyPolicy::LinkLevel), 7);
-    let soft = run_one(&base().with_ruleset(Policy::LinkPurify), 7);
+    // The anchor the whole subsystem rests on: the interpreted table
+    // reproduces the pinned record of the engine it replaced.
+    let anchor = ScenarioSpec::lab_chain("", 5)
+        .with_rounds(2)
+        .with_max_time(SimDuration::from_secs(60))
+        .with_carbon_t2(10.0)
+        .with_ruleset(Policy::LinkPurify);
+    let record = fingerprint(&run_one(&anchor, 7));
     println!();
     println!(
-        "bit-identity: hard-coded LinkLevel vs interpreted {}: {}",
+        "golden anchor: interpreted {} vs the pinned LinkLevel record: {}",
         Policy::LinkPurify.name(),
-        if fingerprint(&hard) == fingerprint(&soft) {
+        if record == LINK_PURIFY_GOLDEN {
             "identical"
         } else {
             "DIVERGED"
         }
     );
-    assert_eq!(fingerprint(&hard), fingerprint(&soft));
+    assert_eq!(record, LINK_PURIFY_GOLDEN);
     println!();
     println!("threshold purification pays the double-pair price only on the");
     println!("edges that need it — the rule table, not the engine, decides.");

@@ -3,7 +3,7 @@
 //! scenario-sweep driver.
 
 use qlink::net::sweep::run_one;
-use qlink::net::TraceKind;
+use qlink::net::{SpanEvent, SpanStage, TelemetryConfig};
 use qlink::prelude::*;
 
 fn lab_chain(nodes: usize, base_seed: u64) -> Topology {
@@ -12,10 +12,22 @@ fn lab_chain(nodes: usize, base_seed: u64) -> Topology {
     })
 }
 
+/// Switches on span recording only (passive: results are unchanged).
+fn record_spans(net: &mut Network) {
+    net.set_telemetry(TelemetryConfig {
+        spans: true,
+        ..TelemetryConfig::OFF
+    });
+}
+
+fn spans(net: &Network) -> &[SpanEvent] {
+    net.telemetry().expect("spans on").spans()
+}
+
 #[test]
 fn three_node_chain_delivers_end_to_end_on_shared_clock() {
     let mut net = Network::new(lab_chain(3, 71), 7);
-    net.enable_trace();
+    record_spans(&mut net);
     net.request_entanglement(0, 2, 0.6);
     let out = net
         .run_until_outcome(SimDuration::from_secs(30))
@@ -49,23 +61,26 @@ fn three_node_chain_delivers_end_to_end_on_shared_clock() {
     assert!(out.latency > SimDuration::ZERO);
     assert_eq!(out.delivered_at, SimTime::ZERO + out.latency);
 
-    // The trace is one monotone SimTime stream that interleaves both
-    // links' wakes with control messages — a single shared clock.
-    let trace = net.trace();
+    // The spans are one monotone SimTime stream that interleaves both
+    // links' deliveries with control messages — a single shared clock.
+    let trace = spans(&net);
     assert!(!trace.is_empty());
     for w in trace.windows(2) {
-        assert!(w[0].at <= w[1].at, "trace time went backwards");
+        assert!(w[0].at <= w[1].at, "span time went backwards");
     }
     for link in 0..2 {
         assert!(
-            trace.iter().any(|e| e.kind == TraceKind::LinkWake(link)),
+            net.link(link).events_fired() > 0,
             "link {link} never woke on the shared queue"
         );
     }
-    assert!(trace.iter().any(|e| matches!(e.kind, TraceKind::Swap(1))));
     assert!(trace
         .iter()
-        .any(|e| matches!(e.kind, TraceKind::Control(_))));
+        .any(|e| matches!(e.stage, SpanStage::Swap { node: 1 })));
+    // The Bell outcome reached the ends as control messages.
+    assert!(trace
+        .iter()
+        .any(|e| matches!(e.stage, SpanStage::SwapResult { .. })));
 }
 
 #[test]
@@ -105,9 +120,9 @@ fn identical_seeds_give_bit_identical_outcomes() {
 #[test]
 fn five_node_chain_swaps_asap_on_one_queue() {
     // Acceptance: a 5-node (4-hop) SWAP-ASAP run on a single shared
-    // event queue, one SimTime stream verifiable from the trace.
+    // event queue, one SimTime stream verifiable from the spans.
     let mut net = Network::new(lab_chain(5, 201), 11);
-    net.enable_trace();
+    record_spans(&mut net);
     net.request_entanglement(0, 4, 0.6);
     let out = net
         .run_until_outcome(SimDuration::from_secs(120))
@@ -123,36 +138,37 @@ fn five_node_chain_swaps_asap_on_one_queue() {
         .fold(f64::INFINITY, f64::min);
     assert!(out.end_to_end_fidelity <= min_link);
 
-    // Single SimTime stream: monotone trace covering all four links.
-    let trace = net.trace();
+    // Single SimTime stream: monotone spans covering all four links.
+    let trace = spans(&net);
     for w in trace.windows(2) {
-        assert!(w[0].at <= w[1].at, "trace time went backwards");
+        assert!(w[0].at <= w[1].at, "span time went backwards");
     }
     for link in 0..4 {
-        assert!(
-            trace.iter().any(|e| e.kind == TraceKind::LinkWake(link)),
-            "link {link} never woke"
-        );
+        assert!(net.link(link).events_fired() > 0, "link {link} never woke");
     }
-    // All three repeaters swapped, and completion was traced.
+    // All three repeaters swapped, and completion was recorded.
     for node in 1..4 {
-        assert!(trace.iter().any(|e| e.kind == TraceKind::Swap(node)));
+        assert!(trace.iter().any(|e| e.stage == SpanStage::Swap { node }));
     }
     assert!(trace
         .iter()
-        .any(|e| matches!(e.kind, TraceKind::Complete(_))));
+        .any(|e| matches!(e.stage, SpanStage::Deliver { .. })));
 
-    // Wakes of different links interleave in time (shared clock, not
-    // sequential per-link execution).
-    let wakes: Vec<usize> = trace
+    // The links run concurrently on the shared clock, not one after
+    // another: every link holds its CREATE before any pair lands.
+    let last_create = trace
         .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::LinkWake(l) => Some(l),
-            _ => None,
-        })
-        .collect();
+        .filter(|e| matches!(e.stage, SpanStage::Create { .. }))
+        .map(|e| e.at)
+        .max()
+        .expect("CREATEs were issued");
+    let first_add = trace
+        .iter()
+        .find(|e| matches!(e.stage, SpanStage::Add { .. }))
+        .expect("pairs were delivered")
+        .at;
     assert!(
-        wakes.windows(2).any(|w| w[0] != w[1]),
+        last_create < first_add,
         "links never interleaved on the shared queue"
     );
 }
@@ -232,16 +248,8 @@ fn star_topology_routes_through_the_hub() {
 }
 
 #[test]
-fn deprecated_sim_chain_still_works_as_shim() {
-    // The old API keeps functioning during the migration window.
-    #[allow(deprecated)]
-    {
-        let mk = |seed| LinkConfig::lab(WorkloadSpec::none(), seed);
-        let mut chain = qlink::sim::chain::RepeaterChain::new(vec![mk(31), mk(32)]);
-        let out = chain.generate_end_to_end(0.6, SimDuration::from_secs(20));
-        assert!(out.is_some());
-    }
-    // And the prelude now exposes the shared-clock version.
+fn prelude_chain_runs_on_the_shared_clock() {
+    // The prelude exposes the shared-clock repeater chain.
     let mk = |seed| LinkConfig::lab(WorkloadSpec::none(), seed);
     let mut chain = RepeaterChain::new(vec![mk(31), mk(32)]);
     assert_eq!(chain.hops(), 2);

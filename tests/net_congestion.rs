@@ -14,13 +14,13 @@
 //!
 //! PR 5 adds two satellite families: the adaptive re-route backoff
 //! (`BackoffPolicy` — default pinned to PR 4's jittered delay,
-//! exponential growth and cap asserted against trace times) and
+//! exponential growth and cap asserted against re-route span times) and
 //! CREATE retraction (a timeout storm leaves both EGP queues empty,
 //! so `edge_load` matches the links' true backlog).
 
 use qlink::net::ruleset::Policy;
 use qlink::net::sweep::{run_one, RunRecord};
-use qlink::net::{MetricChoice, TraceKind};
+use qlink::net::{MetricChoice, SpanStage, TelemetryConfig};
 use qlink::prelude::*;
 
 fn lab(seed: u64) -> LinkConfig {
@@ -403,12 +403,12 @@ fn edge_load_balances_through_fault_interleavings() {
 
 /// The interpreted extension of the ledger property (PR 10
 /// satellite): with a RuleSet policy installed on every node, the
-/// interpreter's purify claims (`reserve_ruleset` + `RuleState`
+/// interpreter's purify claims (`SwapAsapNode::reserve` + `RuleState`
 /// latches), pump-round regenerations, releases during pending
 /// parities, and fault-triggered teardowns must all keep `edge_load`
 /// in agreement with both endpoint nodes' reservation counts
-/// (`reserved_on_edge` counts hard-coded and interpreted arms through
-/// the same `uses(role)` accounting). Trials mix every data-only
+/// (`reserved_on_edge` counts every installed arm by its role).
+/// Trials mix every data-only
 /// policy with flapping faults, seeded retries/timeouts, an
 /// unachievable-fmin rejection exerciser, and a pinned noisy path;
 /// after cancel-all every edge is back at exactly zero and no node
@@ -672,7 +672,7 @@ fn sweep_merges_timeout_and_reroute_counters() {
 
 /// The failure times of every re-route of a 1-edge stream whose link
 /// UNSUPPs Fmin 0.6 forever: each attempt is rejected almost
-/// instantly, so consecutive `Reroute` trace times are dominated by
+/// instantly, so consecutive `Reroute` span times are dominated by
 /// the backoff delays between them. The edge's control delay is
 /// overridden to 120 µs (metropolitan scale) so backoff differences
 /// dwarf the MHP-cycle-scale rejection-detection jitter.
@@ -685,14 +685,19 @@ fn reroute_times(policy: Option<BackoffPolicy>, retries: u32) -> (Vec<u64>, u64)
         assert_eq!(net.backoff_policy(), p);
     }
     net.set_retry_budget(retries);
-    net.enable_trace();
+    net.set_telemetry(TelemetryConfig {
+        spans: true,
+        ..TelemetryConfig::OFF
+    });
     net.request_on_path(&[0, 1], 0.6);
     net.run_for(SimDuration::from_millis(100));
     let times = net
-        .trace()
+        .telemetry()
+        .expect("spans on")
+        .spans()
         .iter()
-        .filter(|e| matches!(e.kind, TraceKind::Reroute(_)))
-        .map(|e| e.at.as_ps())
+        .filter(|s| matches!(s.stage, SpanStage::Reroute { .. }))
+        .map(|s| s.at.as_ps())
         .collect();
     (times, net.events_fired())
 }

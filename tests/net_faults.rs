@@ -24,6 +24,9 @@
 //! * **Zero-completion SLO accounting** (satellite) — a workload
 //!   class that completes nothing reports 0.0 attainment (not NaN)
 //!   and a NaN-free service CSV.
+//! * **Disconnected arrivals** (regression) — an open-loop arrival
+//!   for a pair the fault layer has cut off is abandoned, not a
+//!   panic, and the workload accounting identities keep holding.
 
 use qlink::net::sweep::{run_one, FaultChoice, RunRecord};
 use qlink::net::MetricChoice;
@@ -450,4 +453,66 @@ fn zero_completion_class_reports_zero_attainment_not_nan() {
     let csv = report.service_csv();
     assert!(csv.contains("doomed"), "the class must appear in the CSV");
     assert!(!csv.contains("NaN"), "service CSV must be NaN-free:\n{csv}");
+}
+
+// ---- disconnected arrivals (regression) -----------------------------
+
+/// The two traffic classes of `examples/service.rs`.
+fn service_classes() -> Vec<UserClass> {
+    vec![
+        UserClass::new("qkd", RequestKind::Md, vec![(0, 1), (1, 2), (4, 5)])
+            .with_weight(3.0)
+            .with_priority(1)
+            .with_admission(AdmissionControl::QueueBeyond {
+                max_in_flight: 2,
+                queue_cap: 16,
+            })
+            .with_latency_slo(SimDuration::from_millis(400))
+            .with_fidelity_slo(0.4),
+        UserClass::new("compute", RequestKind::Ck, vec![(8, 9), (12, 13)])
+            .with_priority(0)
+            .with_admission(AdmissionControl::RejectBeyond { max_in_flight: 2 })
+            .with_latency_slo(SimDuration::from_millis(300)),
+    ]
+}
+
+/// Regression: every edge of a 4×4 grid flaps under the service
+/// classes, so the fault layer now and then takes down all edges of
+/// a corner or a pair's every path. An arrival for a pair that is
+/// disconnected at that instant — admitted on arrival or dequeued
+/// when a slot frees — used to panic ("no path from 4 to 5"). It is
+/// counted admitted and abandoned instead, and the workload
+/// accounting identities hold per class.
+#[test]
+fn flapping_service_abandons_disconnected_arrivals() {
+    let spec = ScenarioSpec::lab_grid("flapping-service", 4, 4)
+        .with_metric(MetricChoice::LoadLatency)
+        .with_retries(1)
+        .with_request_timeout(SimDuration::from_millis(250))
+        .with_max_time(SimDuration::from_millis(400))
+        .with_workload(Workload::poisson(2_000.0, service_classes()))
+        .with_faults(FaultChoice::Flapping {
+            mean_up: SimDuration::from_millis(40),
+            mean_down: SimDuration::from_millis(60),
+            cycles: 4,
+            penalty_box: true,
+        });
+    let record = run_one(&spec, 1);
+    assert!(record.faults > 0, "the grid must actually flap");
+    for c in &record.classes {
+        assert_eq!(
+            c.offered,
+            c.admitted + c.dropped + c.queued,
+            "{}: offered = admitted + dropped + queued",
+            c.name
+        );
+        assert_eq!(
+            c.admitted,
+            c.completed + c.abandoned + c.in_flight,
+            "{}: admitted = completed + abandoned + in_flight",
+            c.name
+        );
+    }
+    let abandoned: u64 = record.classes.iter().map(|c| c.abandoned).sum();
+    assert!(abandoned > 0, "disconnected arrivals must be abandoned");
 }

@@ -139,11 +139,13 @@ fn sharded_span_stream_is_byte_identical_to_sequential() {
 // ---- golden snapshot ------------------------------------------------
 
 /// Golden snapshot: the complete stage sequence of one request on the
-/// 3-node lab chain, seed 7. A SWAP-ASAP story in 10 stages: plan onto
-/// 0-1-2, CREATE on both edges, both pairs arrive, the repeater swaps
-/// the instant the second pair lands, the Bell frame crosses to the
-/// far end, deliver. Any change to emission order, hook placement, or
-/// the simulation itself shows up here.
+/// 3-node lab chain, seed 7. A SWAP-ASAP story in 17 stages: plan onto
+/// 0-1-2, CREATE on both edges, the first pair arrives and both its
+/// endpoints' tables mark the edge ready, the second pair arrives and
+/// the repeater's table swaps the instant it lands, the Bell frame
+/// crosses to both ends and each end's table declares it ready,
+/// deliver. Any change to emission order, hook placement, rule-table
+/// order, or the simulation itself shows up here.
 #[test]
 fn three_node_chain_matches_golden_stage_sequence() {
     let mut net = Network::new(chain(3), 7);
@@ -162,10 +164,17 @@ fn three_node_chain_matches_golden_stage_sequence() {
             "create",
             "create",
             "add",
+            "rule_fired",
+            "rule_fired",
             "add",
+            "rule_fired",
+            "rule_fired",
+            "rule_fired",
             "swap",
             "swap_result",
+            "rule_fired",
             "swap_result",
+            "rule_fired",
             "deliver",
         ],
         "golden stage sequence moved"

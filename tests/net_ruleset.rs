@@ -1,13 +1,14 @@
-//! Golden suite for the RuleSet control plane (`qlink::net::ruleset`,
-//! the PR 10 tentpole).
+//! Golden suite for the RuleSet control plane (`qlink::net::ruleset`).
 //!
-//! The contract under test: the **interpreted** SWAP-ASAP table is
-//! bit-identical to the hard-coded `SwapAsapNode` machine — same
-//! outcomes, same RNG draws, same event counts — across the PR 5
-//! parallel-suite scenario classes (chains, the contended 4×4 grid,
-//! both purification policies, single-edge paths), and `Sharded(n)`
+//! The contract under test: the interpreter — the only node engine —
+//! reproduces bit for bit the run records of the hard-coded
+//! `SwapAsapNode` machine it replaced. Those records (outcomes, RNG
+//! draws, latencies, event counts) were recorded from the hard-coded
+//! engine before it was deleted, across the parallel-suite scenario
+//! classes (chains, the contended 4×4 grid, both purification
+//! policies, single-edge paths), and are pinned below. `Sharded(n)`
 //! stays bit-identical to `Sequential` (byte-equal span streams) with
-//! rulesets enabled. The data-only policies — threshold-gated
+//! rule firing logged. The data-only policies — threshold-gated
 //! purification and k-round entanglement pumping — are pinned
 //! behaviourally: a gated-out threshold is indistinguishable from
 //! plain SWAP-ASAP, one pump round is indistinguishable from
@@ -19,9 +20,12 @@ use qlink::net::{spans_jsonl, MetricChoice, TelemetryConfig};
 use qlink::prelude::*;
 
 /// Every field of a [`RunRecord`] that a simulation trajectory
-/// determines, f64 compared by bit pattern.
-fn fingerprint(r: &RunRecord) -> (u32, u32, u32, u64, u64, u64, u64, u64, u64) {
-    (
+/// determines, f64s by bit pattern, space-separated: successes,
+/// rounds, timeouts, reroutes, events, pairs consumed, then the bits
+/// of the fidelity mean, latency mean and latency variance in hex.
+fn fingerprint(r: &RunRecord) -> String {
+    format!(
+        "{} {} {} {} {} {} {:016x} {:016x} {:016x}",
         r.successes,
         r.rounds,
         r.timeouts,
@@ -34,20 +38,28 @@ fn fingerprint(r: &RunRecord) -> (u32, u32, u32, u64, u64, u64, u64, u64, u64) {
     )
 }
 
-/// Asserts that `spec` run under the hard-coded machine and under the
-/// interpreted `policy` produce bit-identical records per seed.
-fn assert_interpreted_identical(spec: &ScenarioSpec, policy: Policy, seeds: &[u64]) {
-    for &seed in seeds {
-        let hard = run_one(spec, seed);
-        let soft = run_one(&spec.clone().with_ruleset(policy), seed);
+/// Asserts that `spec` reproduces the golden record of each seed.
+fn assert_golden(spec: &ScenarioSpec, seeds: &[u64], goldens: &[&str]) {
+    for (&seed, &golden) in seeds.iter().zip(goldens) {
         assert_eq!(
-            fingerprint(&hard),
-            fingerprint(&soft),
-            "{}: interpreted {} diverged from hard-coded at seed {seed}",
-            spec.name,
-            policy.name()
+            fingerprint(&run_one(spec, seed)),
+            golden,
+            "{}: diverged from the hard-coded golden at seed {seed}",
+            spec.name
         );
     }
+}
+
+/// The link-purify chain's record at seed 3, recorded from the
+/// hard-coded `PurifyPolicy::LinkLevel` engine.
+const LINK_PURIFY_SEED_3: &str =
+    "1 1 0 0 777349 6 3fda52e5429edf40 3fd1cfd55f0b9d8e 0000000000000000";
+
+/// The purifying chain every link-purify golden runs on.
+fn purify_chain(name: &str) -> ScenarioSpec {
+    ScenarioSpec::lab_chain(name, 4)
+        .with_carbon_t2(10.0)
+        .with_max_time(SimDuration::from_secs(40))
 }
 
 #[test]
@@ -55,7 +67,14 @@ fn interpreted_swap_asap_matches_hardcoded_on_chains() {
     let spec = ScenarioSpec::lab_chain("chain-3", 3)
         .with_rounds(2)
         .with_max_time(SimDuration::from_secs(25));
-    assert_interpreted_identical(&spec, Policy::SwapAsap, &[1, 7]);
+    assert_golden(
+        &spec,
+        &[1, 7],
+        &[
+            "2 2 0 0 845801 4 3fd52195d5056871 3fd0c1bc27b70368 3f6b6d7a44459c7d",
+            "2 2 0 0 267433 4 3fd5b98731efca5e 3fb082ba99bc6912 3ede5d5c3ba5a7ab",
+        ],
+    );
 }
 
 #[test]
@@ -65,62 +84,54 @@ fn interpreted_swap_asap_matches_hardcoded_on_one_hop() {
     let spec = ScenarioSpec::lab_chain("one-hop", 2)
         .with_rounds(3)
         .with_max_time(SimDuration::from_secs(10));
-    assert_interpreted_identical(&spec, Policy::SwapAsap, &[2, 9]);
+    assert_golden(
+        &spec,
+        &[2, 9],
+        &[
+            "3 3 0 0 365882 3 3fe5975e37da881a 3fb8d177c90101fb 3f5f355b01c8b627",
+            "3 3 0 0 523882 3 3fe5975e37da881a 3fc1b775a2997282 3f8c8fd537d4ba6b",
+        ],
+    );
 }
 
 #[test]
 fn interpreted_swap_asap_matches_hardcoded_on_contended_grid() {
     // The PR 4 contention scenario: armed timeouts, retries, re-routes
-    // — interpreted attempts must release, park, re-plan (pricing
-    // through Policy::price), and re-install tables identically.
+    // — attempts must release, park, re-plan (pricing through
+    // Policy::price), and re-install tables exactly as the hard-coded
+    // engine did (both seeds re-route).
     let spec = ScenarioSpec::lab_grid("contended-grid", 4, 4)
         .with_pairs(vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)])
         .with_metric(MetricChoice::LoadLatency)
         .with_request_timeout(SimDuration::from_millis(300))
         .with_retries(2)
         .with_max_time(SimDuration::from_millis(700));
-    let probe = run_one(&spec.clone().with_ruleset(Policy::SwapAsap), 5);
-    assert!(probe.reroutes > 0, "seed must actually exercise re-routing");
-    assert_interpreted_identical(&spec, Policy::SwapAsap, &[1, 5]);
-}
-
-#[test]
-fn interpreted_link_purify_matches_hardcoded_link_level() {
-    let spec = ScenarioSpec::lab_chain("link-purify", 4)
-        .with_carbon_t2(10.0)
-        .with_purify(PurifyPolicy::LinkLevel)
-        .with_max_time(SimDuration::from_secs(40));
-    // The interpreted spec carries PurifyPolicy::Off: the table alone
-    // recreates LinkLevel (double CREATEs, distill, regenerate on
-    // reject) and Policy::price the purified route pricing.
-    let hard = spec.clone();
-    let soft = ScenarioSpec::lab_chain("link-purify", 4)
-        .with_carbon_t2(10.0)
-        .with_max_time(SimDuration::from_secs(40))
-        .with_ruleset(Policy::LinkPurify);
-    let seed = 3;
-    assert_eq!(
-        fingerprint(&run_one(&hard, seed)),
-        fingerprint(&run_one(&soft, seed)),
-        "interpreted link-purify diverged from PurifyPolicy::LinkLevel at seed {seed}"
+    assert_golden(
+        &spec,
+        &[1, 5],
+        &[
+            "5 6 1 5 8570131 22 3fd16c086d885c25 3fd4c204e2742183 3fa0d38c7c50c5c6",
+            "5 6 1 4 9399232 22 3fd16c086d885c25 3fd4041256ae8e9a 3f9e1e0f6337012c",
+        ],
     );
 }
 
 #[test]
+fn interpreted_link_purify_matches_hardcoded_link_level() {
+    // The PurifyPolicy input names the link-purify table: double
+    // CREATEs, distill, regenerate on reject, and the purified route
+    // pricing of Policy::price.
+    let spec = purify_chain("link-purify").with_purify(PurifyPolicy::LinkLevel);
+    assert_golden(&spec, &[3], &[LINK_PURIFY_SEED_3]);
+}
+
+#[test]
 fn interpreted_end_to_end_matches_hardcoded_end_to_end() {
-    let hard = ScenarioSpec::lab_chain("e2e-purify", 4)
-        .with_carbon_t2(10.0)
-        .with_purify(PurifyPolicy::EndToEnd)
-        .with_max_time(SimDuration::from_secs(40));
-    let soft = ScenarioSpec::lab_chain("e2e-purify", 4)
-        .with_carbon_t2(10.0)
-        .with_max_time(SimDuration::from_secs(40))
-        .with_ruleset(Policy::EndToEndPurify);
-    let seed = 3;
-    assert_eq!(
-        fingerprint(&run_one(&hard, seed)),
-        fingerprint(&run_one(&soft, seed)),
-        "interpreted e2e-purify diverged from PurifyPolicy::EndToEnd at seed {seed}"
+    let spec = purify_chain("e2e-purify").with_purify(PurifyPolicy::EndToEnd);
+    assert_golden(
+        &spec,
+        &[3],
+        &["1 1 0 0 777352 6 3fd76a1cbf82a58e 3fd1cfd573d16748 0000000000000000"],
     );
 }
 
@@ -216,13 +227,13 @@ fn rule_fired_telemetry_never_moves_a_bit() {
 // ---- the data-only policies -----------------------------------------
 
 /// A threshold no edge is below compiles every edge to a zero-round
-/// program: the run is bit-identical to plain interpreted SWAP-ASAP.
-/// A threshold every edge is below is bit-identical to link-purify.
+/// program: the run is bit-identical to plain SWAP-ASAP. A threshold
+/// every edge is below is bit-identical to link-purify — whose
+/// override (`Policy::LinkPurify` set directly) reproduces the pinned
+/// link-purify golden.
 #[test]
 fn threshold_purify_degenerates_to_its_neighbours() {
-    let base = ScenarioSpec::lab_chain("threshold", 4)
-        .with_carbon_t2(10.0)
-        .with_max_time(SimDuration::from_secs(40));
+    let base = purify_chain("threshold");
     let run =
         |policy: Policy, seed: u64| fingerprint(&run_one(&base.clone().with_ruleset(policy), seed));
     let seed = 3;
@@ -231,9 +242,14 @@ fn threshold_purify_degenerates_to_its_neighbours() {
         run(Policy::SwapAsap, seed),
         "theta below every edge must behave as SWAP-ASAP"
     );
+    let link_purify = run(Policy::LinkPurify, seed);
+    assert_eq!(
+        link_purify, LINK_PURIFY_SEED_3,
+        "the link-purify override diverged from the hard-coded golden"
+    );
     assert_eq!(
         run(Policy::ThresholdPurify { theta: 1.0 }, seed),
-        run(Policy::LinkPurify, seed),
+        link_purify,
         "theta above every edge must behave as link-purify"
     );
 }
@@ -243,9 +259,7 @@ fn threshold_purify_degenerates_to_its_neighbours() {
 /// on the delivered outcome.
 #[test]
 fn pump_rounds_scale_pair_cost() {
-    let base = ScenarioSpec::lab_chain("pump", 4)
-        .with_carbon_t2(10.0)
-        .with_max_time(SimDuration::from_secs(40));
+    let base = purify_chain("pump");
     let run = |policy: Policy, seed: u64| run_one(&base.clone().with_ruleset(policy), seed);
     let seed = 3;
     let asap = run(Policy::SwapAsap, seed);
@@ -271,17 +285,17 @@ fn pump_rounds_scale_pair_cost() {
 }
 
 /// The sweep matrix carries [`PolicyChoice`] end to end: a two-cell
-/// sweep mixing hard-coded and interpreted specs merges
+/// sweep mixing the purify input and an explicit policy merges
 /// deterministically and names the policies.
 #[test]
 fn sweep_matrix_carries_policy_choice() {
     let specs = vec![
-        ScenarioSpec::lab_chain("hard", 3).with_max_time(SimDuration::from_secs(25)),
-        ScenarioSpec::lab_chain("soft", 3)
+        ScenarioSpec::lab_chain("input", 3).with_max_time(SimDuration::from_secs(25)),
+        ScenarioSpec::lab_chain("override", 3)
             .with_max_time(SimDuration::from_secs(25))
             .with_ruleset(Policy::SwapAsap),
     ];
-    assert_eq!(specs[0].ruleset.name(), "hardcoded");
+    assert_eq!(specs[0].ruleset.name(), "purify");
     assert_eq!(specs[1].ruleset.name(), "rs-swap-asap");
     assert_eq!(
         PolicyChoice::Rules(Policy::ThresholdPurify { theta: 0.9 }).name(),
@@ -289,7 +303,8 @@ fn sweep_matrix_carries_policy_choice() {
     );
     let report = sweep(&specs, &[1], 2);
     assert_eq!(report.runs.len(), 2);
-    // Same physics, same seed, same decisions: the interpreted twin
-    // reproduces the hard-coded record bit for bit inside the sweep.
+    // Same physics, same seed, same table: `PurifyPolicy::Off` names
+    // SWAP-ASAP, so the override reproduces the input's record bit for
+    // bit inside the sweep.
     assert_eq!(fingerprint(&report.runs[0]), fingerprint(&report.runs[1]));
 }
