@@ -3,11 +3,11 @@
 
 Usage, from the root of a git checkout:
 
-    python3 ci/ab_gate.py --base <rev>
+    python3 ci/ab_gate.py --base <rev> [--workload <name>]
 
 Checks `<rev>` out into a git worktree next to the checkout, then runs
-`perfbench/run.py --workload grid_service --seed <s> --seconds 25
---trace 0` on the base and on HEAD for seeds 1..5, alternating which
+`perfbench/run.py --workload <name> --seed <s> --seconds 25 --trace 0`
+(default workload: grid_service) on the base and on HEAD for seeds 1..5, alternating which
 side goes first per seed. Each side builds into its own
 `CARGO_TARGET_DIR`. The gate reads `cpu_s_per_sim_s` from each run's
 last JSON line, forms the per-seed ratio HEAD / base, and exits
@@ -29,18 +29,18 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-WORKLOAD = "grid_service"
+WORKLOADS = ("link_mixed", "grid_sparse", "grid_service")
 SEEDS = range(1, 6)
 SECONDS = 25
 METRIC = "cpu_s_per_sim_s"
 MAX_RATIO = 1.05
 
 
-def run_bench(checkout, target, seed):
+def run_bench(checkout, target, workload, seed):
     """Runs one untraced benchmark and returns `METRIC`'s value."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(target))
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", WORKLOAD, "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, env=env, stdout=subprocess.PIPE, text=True,
     )
@@ -55,6 +55,8 @@ def run_bench(checkout, target, seed):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision to compare HEAD against")
+    parser.add_argument("--workload", choices=WORKLOADS, default="grid_service",
+                        help="benchmark workload to compare on (default: grid_service)")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="ab_gate.") as tmp:
@@ -67,7 +69,7 @@ def main():
             ratios = []
             for i, seed in enumerate(SEEDS):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                value = {side: run_bench(*sides[side], seed) for side in order}
+                value = {side: run_bench(*sides[side], args.workload, seed) for side in order}
                 ratios.append(value["head"] / value["base"])
                 print(f"seed {seed}: base {value['base']:.4f}  head {value['head']:.4f}  "
                       f"head/base {ratios[-1]:.4f}", flush=True)
@@ -76,7 +78,7 @@ def main():
 
     median = statistics.median(ratios)
     q1, _, q3 = statistics.quantiles(ratios, n=4)
-    print(f"{WORKLOAD} {METRIC} head/base over {len(ratios)} seeds: median {median:.4f}, "
+    print(f"{args.workload} {METRIC} head/base over {len(ratios)} seeds: median {median:.4f}, "
           f"quartiles {q1:.4f}..{q3:.4f}, gate {MAX_RATIO:.2f}")
     if median > MAX_RATIO:
         sys.exit(f"ab_gate: HEAD is {100 * (median - 1):.1f}% slower than {args.base} "

@@ -234,6 +234,15 @@ impl DistributedQueue {
         self.len() == 0
     }
 
+    /// `true` when this side has nothing committed, nothing staged and
+    /// no add awaiting an ACK — a [`DistributedQueue::tick`] is then a
+    /// no-op, whatever the cycle.
+    pub fn is_idle(&self) -> bool {
+        self.pending.is_empty()
+            && self.staging.is_empty()
+            && self.queues.iter().all(|q| q.is_empty())
+    }
+
     /// Looks up a committed item.
     pub fn get(&self, aid: AbsQueueId) -> Option<&QueueEntry> {
         self.queues.get(aid.qid as usize)?.get(&aid.qseq)

@@ -311,6 +311,19 @@ impl Egp {
         self.seq_expected
     }
 
+    /// `true` when [`Egp::poll`] has nothing to do at any cycle: no
+    /// tracked request, no EXPIRE or RETRACT awaiting an ACK, no move
+    /// in progress, and an idle distributed queue. A poll is then a
+    /// no-op that draws no randomness, so a simulation may stop
+    /// polling until a CREATE, a retraction or a peer frame arrives.
+    pub fn is_quiescent(&self) -> bool {
+        self.requests.is_empty()
+            && self.pending_expires.is_empty()
+            && self.pending_retracts.is_empty()
+            && self.pending_move.is_none()
+            && self.dq.is_idle()
+    }
+
     /// Number of requests currently tracked (all states).
     pub fn tracked_requests(&self) -> usize {
         self.requests.len()

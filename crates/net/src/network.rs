@@ -1029,6 +1029,9 @@ impl Network {
         let mut link = LinkSimulation::new_starting_at(cfg, t);
         link.capture_deliveries();
         link.capture_rejections();
+        if let Some(tl) = self.telemetry.as_deref_mut() {
+            tl.on_link_retired(edge, &self.links[edge]);
+        }
         self.links[edge] = link;
         // Bookkeeping into the old incarnation dies with it: queued
         // CREATEs can never be served, and dropping their keys here
@@ -1539,7 +1542,7 @@ impl Network {
             ExecMode::Sharded(_) => self.run_windows(horizon, false),
         }
         self.account_elapsed(duration, horizon);
-        self.finish_profile(prof);
+        self.finish_telemetry(prof);
     }
 
     /// Runs until the next end-to-end outcome, or until `max_time` of
@@ -1566,7 +1569,7 @@ impl Network {
         }
         let end = self.queue.now();
         self.account_elapsed(end.since(start), end);
-        self.finish_profile(prof);
+        self.finish_telemetry(prof);
         if self.outcomes.is_empty() {
             None
         } else {
@@ -1581,10 +1584,14 @@ impl Network {
         self.telemetry.as_deref().is_some_and(Telemetry::profiling)
     }
 
-    /// Closes out one run loop's profiling stopwatch and refreshes the
-    /// queue gauges (pure observation: nothing here feeds back into
-    /// the simulation).
-    fn finish_profile(&mut self, started: Option<Instant>) {
+    /// Closes out one run loop's telemetry: reads the per-link
+    /// counters off the links and, when profiling, stops the stopwatch
+    /// and refreshes the queue gauges (pure observation: nothing here
+    /// feeds back into the simulation).
+    fn finish_telemetry(&mut self, started: Option<Instant>) {
+        if let Some(tl) = self.telemetry.as_deref_mut() {
+            tl.on_run_end(&self.links);
+        }
         let Some(started) = started else { return };
         let events = self.queue.events_fired();
         let high_water = self.queue.depth_high_water();

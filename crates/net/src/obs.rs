@@ -50,6 +50,7 @@
 //! [`ExecMode::Sequential`]: crate::par::ExecMode::Sequential
 
 use qlink_des::{Histogram, SimDuration, SimTime, TimeSeries};
+use qlink_sim::link::{EventKindCounts, LinkSimulation};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -327,6 +328,10 @@ pub struct Metrics {
     /// Fault injection: the highest penalty-box surcharge each edge
     /// reached (a gauge — the live value decays between bumps).
     pub penalty_high_water: Vec<f64>,
+    /// Classical frames the edge's link discarded as undecodable
+    /// (corrupted in flight), per edge, over every incarnation of the
+    /// link. Read off the links when a run loop returns.
+    pub decode_drops: Vec<u64>,
 }
 
 impl Metrics {
@@ -351,6 +356,7 @@ impl Metrics {
             edge_fails: vec![0; edges],
             edge_repairs: vec![0; edges],
             penalty_high_water: vec![0.0; edges],
+            decode_drops: vec![0; edges],
         }
     }
 }
@@ -383,6 +389,11 @@ pub struct EngineProfile {
     /// Wall nanoseconds the coordinator spent in window run-ahead +
     /// barrier (a subset of [`EngineProfile::wall_nanos`]).
     pub window_nanos: u64,
+    /// Link events fired, by kind, summed over the live link of every
+    /// edge (the per-link counterpart of
+    /// [`EngineProfile::events_handled`]; together they make up
+    /// `Network::events_fired`).
+    pub link_events: EventKindCounts,
     /// Cumulative run-ahead busy nanoseconds per shard (index 0 is the
     /// coordinator's own shard). A large spread means the round-robin
     /// link deal is imbalanced.
@@ -401,8 +412,14 @@ impl EngineProfile {
             .iter()
             .map(|n| n.to_string())
             .collect();
+        let link_events: Vec<String> = self
+            .link_events
+            .named()
+            .iter()
+            .map(|(kind, n)| format!("\"{kind}\": {n}"))
+            .collect();
         format!(
-            "{{\n  \"wall_ns\": {},\n  \"events_handled\": {},\n  \"ns_per_event\": {:.1},\n  \"queue_depth_high_water\": {},\n  \"windows\": {},\n  \"window_ns\": {},\n  \"shard_busy_ns\": [{}],\n  \"coord_idle_ns\": {}\n}}\n",
+            "{{\n  \"wall_ns\": {},\n  \"events_handled\": {},\n  \"ns_per_event\": {:.1},\n  \"queue_depth_high_water\": {},\n  \"link_events\": {{{}}},\n  \"windows\": {},\n  \"window_ns\": {},\n  \"shard_busy_ns\": [{}],\n  \"coord_idle_ns\": {}\n}}\n",
             self.wall_nanos,
             self.events_handled,
             if self.events_handled == 0 {
@@ -411,6 +428,7 @@ impl EngineProfile {
                 self.wall_nanos as f64 / self.events_handled as f64
             },
             self.queue_depth_high_water,
+            link_events.join(", "),
             self.windows,
             self.window_nanos,
             shards.join(", "),
@@ -433,6 +451,8 @@ pub struct Telemetry {
     /// queue-wait histogram (same key as the network's
     /// `pending_creates`).
     submit_times: HashMap<(usize, usize, u16), SimTime>,
+    /// Decode drops of link incarnations a repair replaced, per edge.
+    retired_decode_drops: Vec<u64>,
 }
 
 impl Telemetry {
@@ -444,6 +464,7 @@ impl Telemetry {
             metrics: Metrics::new(edges),
             profile: EngineProfile::default(),
             submit_times: HashMap::new(),
+            retired_decode_drops: vec![0; edges],
         }
     }
 
@@ -517,6 +538,30 @@ impl Telemetry {
     pub(crate) fn on_expire(&mut self, edge: usize) {
         if self.config.metrics {
             self.metrics.expires[edge] += 1;
+        }
+    }
+
+    /// A repair is about to replace `edge`'s link: keep its counters.
+    pub(crate) fn on_link_retired(&mut self, edge: usize, link: &LinkSimulation) {
+        if self.config.metrics {
+            self.retired_decode_drops[edge] += link.metrics.decode_drops;
+        }
+    }
+
+    /// A run loop returned: read the per-link counters off the live
+    /// links (edge-indexed).
+    pub(crate) fn on_run_end(&mut self, links: &[LinkSimulation]) {
+        if self.config.metrics {
+            for (edge, link) in links.iter().enumerate() {
+                self.metrics.decode_drops[edge] =
+                    self.retired_decode_drops[edge] + link.metrics.decode_drops;
+            }
+        }
+        if self.config.profile {
+            self.profile.link_events = EventKindCounts::default();
+            for link in links {
+                self.profile.link_events += link.events_by_kind();
+            }
         }
     }
 
@@ -783,6 +828,11 @@ mod tests {
             wall_nanos: 1000,
             events_handled: 10,
             queue_depth_high_water: 4,
+            link_events: EventKindCounts {
+                cycle: 7,
+                peer_frame: 2,
+                ..EventKindCounts::default()
+            },
             windows: 2,
             window_nanos: 600,
             shard_busy_nanos: vec![300, 280],
@@ -791,5 +841,7 @@ mod tests {
         let j = p.to_json();
         assert!(j.contains("\"ns_per_event\": 100.0"));
         assert!(j.contains("\"shard_busy_ns\": [300, 280]"));
+        assert!(j.contains("\"link_events\": {\"cycle\": 7, \"window_close\": 0,"));
+        assert!(j.contains("\"peer_frame\": 2}"));
     }
 }

@@ -106,7 +106,7 @@ pub mod prelude {
     pub use crate::quantum::{Basis, QuantumState};
     pub use crate::sim::chain::ChainOutcome;
     pub use crate::sim::config::{LinkConfig, RequestKind, SchedulerChoice, UsagePattern};
-    pub use crate::sim::link::{Delivery, LinkSimulation};
+    pub use crate::sim::link::{Delivery, EventKindCounts, LinkSimulation};
     pub use crate::sim::metrics::LinkMetrics;
     pub use crate::sim::workload::{GeneratedRequest, KindLoad, OriginPolicy, WorkloadSpec};
 }

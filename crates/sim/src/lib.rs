@@ -27,6 +27,6 @@ pub mod metrics;
 pub mod workload;
 
 pub use config::{LinkConfig, RequestKind, SchedulerChoice, UsagePattern};
-pub use link::{Delivery, LinkSimulation};
+pub use link::{Delivery, EventKindCounts, LinkSimulation};
 pub use metrics::LinkMetrics;
 pub use workload::WorkloadSpec;

@@ -117,6 +117,59 @@ impl Rejection {
     }
 }
 
+/// Events a link has fired, by kind (see
+/// [`LinkSimulation::events_by_kind`]). The kinds partition
+/// [`LinkSimulation::events_fired`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventKindCounts {
+    /// MHP cycle ticks.
+    pub cycle: u64,
+    /// Detection windows closed at the station.
+    pub window_close: u64,
+    /// GEN frames arrived at the station.
+    pub gen_arrive: u64,
+    /// Photons arrived at the station.
+    pub photon_arrive: u64,
+    /// Station REPLYs arrived at a node.
+    pub reply_arrive: u64,
+    /// Node-side reply deadlines.
+    pub reply_timeout: u64,
+    /// Node-to-node classical frames arrived.
+    pub peer_frame: u64,
+}
+
+impl EventKindCounts {
+    /// The counts as `(kind, count)` pairs, in declaration order.
+    pub fn named(&self) -> [(&'static str, u64); 7] {
+        [
+            ("cycle", self.cycle),
+            ("window_close", self.window_close),
+            ("gen_arrive", self.gen_arrive),
+            ("photon_arrive", self.photon_arrive),
+            ("reply_arrive", self.reply_arrive),
+            ("reply_timeout", self.reply_timeout),
+            ("peer_frame", self.peer_frame),
+        ]
+    }
+
+    /// Events of every kind together.
+    pub fn total(&self) -> u64 {
+        self.named().iter().map(|(_, n)| n).sum()
+    }
+}
+
+impl std::ops::AddAssign for EventKindCounts {
+    fn add_assign(&mut self, o: EventKindCounts) {
+        self.cycle += o.cycle;
+        self.window_close += o.window_close;
+        self.gen_arrive += o.gen_arrive;
+        self.photon_arrive += o.photon_arrive;
+        self.reply_arrive += o.reply_arrive;
+        self.reply_timeout += o.reply_timeout;
+        self.peer_frame += o.peer_frame;
+    }
+}
+
 /// A fully wired two-node link simulation.
 pub struct LinkSimulation {
     cfg: LinkConfig,
@@ -150,7 +203,16 @@ pub struct LinkSimulation {
     replay: VecDeque<SimTime>,
     /// Metrics collected so far.
     pub metrics: LinkMetrics,
-    next_cycle_scheduled: u64,
+    /// `Some(c)` while the link is *parked*: its MHP clock stopped at
+    /// cycle `c` because nothing could happen at a poll (see
+    /// [`LinkSimulation::is_idle`]), no `Cycle` event is pending, and
+    /// the periodic housekeeping has run through cycle `c`.
+    parked: Option<u64>,
+    event_counts: EventKindCounts,
+    /// Test oracle: keep ticking through idle cycles, as the link did
+    /// before it could park.
+    #[cfg(test)]
+    never_park: bool,
 }
 
 impl LinkSimulation {
@@ -221,11 +283,13 @@ impl LinkSimulation {
             visible: SimTime::ZERO,
             replay: VecDeque::new(),
             metrics: LinkMetrics::new(),
-            next_cycle_scheduled: 0,
+            parked: None,
+            event_counts: EventKindCounts::default(),
+            #[cfg(test)]
+            never_park: false,
             cfg,
         };
         sim.queue.schedule_at(SimTime::ZERO, Event::Cycle(0));
-        sim.next_cycle_scheduled = 0;
         sim
     }
 
@@ -243,7 +307,6 @@ impl LinkSimulation {
         let c0 = at.as_ps().div_ceil(sim.cfg.scenario.mhp_cycle.as_ps());
         sim.queue.clear();
         sim.queue.schedule_at(sim.cycle_start(c0), Event::Cycle(c0));
-        sim.next_cycle_scheduled = c0;
         sim
     }
 
@@ -257,11 +320,18 @@ impl LinkSimulation {
         self.queue.events_fired()
     }
 
+    /// Events processed so far, by kind. Counting draws no randomness
+    /// and schedules nothing.
+    pub fn events_by_kind(&self) -> EventKindCounts {
+        self.event_counts
+    }
+
     /// Restarts the event-count statistics (see
-    /// [`EventQueue::reset_stats`]); the simulation state and clock are
-    /// untouched.
+    /// [`EventQueue::reset_stats`]) and the per-kind counts; the
+    /// simulation state and clock are untouched.
     pub fn reset_event_stats(&mut self) {
         self.queue.reset_stats();
+        self.event_counts = EventKindCounts::default();
     }
 
     /// Borrow a node's EGP (0 = A, 1 = B) for inspection.
@@ -274,6 +344,10 @@ impl LinkSimulation {
     pub fn submit(&mut self, origin: usize, req: GeneratedRequest) -> u16 {
         let now = self.queue.now();
         let cycle = self.current_cycle();
+        // Re-arm even if the CREATE is refused on the spot: the tick is
+        // the next event an embedding layer wakes for, and the wake is
+        // when it drains the rejection.
+        self.unpark(cycle + 1);
         let msg = Self::create_msg(&req, if origin == 0 { NODE_B } else { NODE_A });
         let (create_id, events) = self.egps[origin].create(msg, cycle);
         self.tracking.insert(
@@ -307,6 +381,7 @@ impl LinkSimulation {
     /// submitted at).
     pub fn expire_request(&mut self, origin: usize, create_id: u16) {
         let cycle = self.current_cycle();
+        self.unpark(cycle + 1);
         self.tracking.remove(&(origin, create_id));
         let events = self.egps[origin].expire_request(create_id, cycle);
         self.route(origin, events);
@@ -339,9 +414,10 @@ impl LinkSimulation {
 
     /// Firing time of this link's next *observable* event: the next
     /// recorded firing when the link has run ahead of its observation
-    /// cursor, the next pending internal event otherwise. (`None` only
-    /// for a drained queue, which cannot happen while the MHP cycle
-    /// clock keeps self-scheduling.)
+    /// cursor, the next pending internal event otherwise. `None` when
+    /// the link is parked (its MHP clock stopped for lack of work) with
+    /// nothing in flight: only a [`LinkSimulation::submit`] or
+    /// [`LinkSimulation::expire_request`] wakes it again.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.replay
             .front()
@@ -372,6 +448,9 @@ impl LinkSimulation {
         while let Some((et, ev)) = self.queue.pop_until(t) {
             self.handle(et, ev);
         }
+        // Observers read the housekeeping (queue-length samples) of
+        // every cycle up to `t`, ticked or not.
+        self.replay_housekeeping(t.as_ps() / self.cfg.scenario.mhp_cycle.as_ps());
     }
 
     /// Processes internal events up to and including `h` *ahead of*
@@ -482,42 +561,158 @@ impl LinkSimulation {
     }
 
     fn handle(&mut self, now: SimTime, ev: Event) {
+        // When the event was queued: picks the tick a parked link
+        // resumes at if this event leaves work behind.
+        let mut queued = now;
         match ev {
-            Event::Cycle(c) => self.on_cycle(now, c),
-            Event::WindowClose(c) => self.on_window_close(now, c),
+            Event::Cycle(c) => {
+                self.event_counts.cycle += 1;
+                return self.on_cycle(now, c);
+            }
+            Event::WindowClose(c) => {
+                self.event_counts.window_close += 1;
+                self.on_window_close(now, c);
+            }
             Event::PeerFrame { to, bytes } => {
-                if let Ok(frame) = Frame::decode(&bytes) {
-                    let cycle = self.current_cycle();
-                    let evs = self.egps[to].on_peer_frame(frame, cycle);
-                    self.route(to, evs);
+                self.event_counts.peer_frame += 1;
+                queued = now - self.chan_ab[1 - to].delay;
+                match Frame::decode(&bytes) {
+                    Ok(frame) => {
+                        let cycle = self.current_cycle();
+                        let evs = self.egps[to].on_peer_frame(frame, cycle);
+                        self.route(to, evs);
+                    }
+                    Err(_) => self.metrics.decode_drops += 1,
                 }
             }
             Event::GenArrive { from, bytes } => {
-                if let Ok(Frame::Gen(msg)) = Frame::decode(&bytes) {
-                    self.midpoint.on_gen(from, msg);
+                self.event_counts.gen_arrive += 1;
+                match Frame::decode(&bytes) {
+                    Ok(Frame::Gen(msg)) => self.midpoint.on_gen(from, msg),
+                    _ => self.metrics.decode_drops += 1,
                 }
             }
-            Event::PhotonArrive(p) => self.midpoint.on_photon(p),
+            Event::PhotonArrive(p) => {
+                self.event_counts.photon_arrive += 1;
+                self.midpoint.on_photon(p);
+            }
             Event::ReplyArrive { to, bytes } => {
-                if let Ok(Frame::Reply(msg)) = Frame::decode(&bytes) {
-                    if let Some(result) = self.mhps[to].on_reply(msg) {
-                        self.process_result(to, result);
+                self.event_counts.reply_arrive += 1;
+                match Frame::decode(&bytes) {
+                    Ok(Frame::Reply(msg)) => {
+                        if let Some(result) = self.mhps[to].on_reply(msg) {
+                            self.process_result(to, result);
+                        }
                     }
+                    _ => self.metrics.decode_drops += 1,
                 }
             }
             Event::ReplyTimeout { node, cycle } => {
+                self.event_counts.reply_timeout += 1;
                 if let Some(result) = self.mhps[node].on_reply_timeout(cycle) {
                     self.process_result(node, result);
                 }
             }
         }
+        if self.parked.is_some() && !self.is_idle() {
+            self.unpark(self.resume_cycle(now, queued));
+        }
+    }
+
+    /// `true` when an MHP poll can do nothing, now or at any later
+    /// cycle, until something arrives from outside: the in-link
+    /// workload never issues a request and both EGPs are quiescent
+    /// ([`Egp::is_quiescent`]). Such a poll draws no randomness, so a
+    /// cycle that finds the link idle parks the clock instead of
+    /// ticking through cycles nobody reads.
+    fn is_idle(&self) -> bool {
+        #[cfg(test)]
+        if self.never_park {
+            return false;
+        }
+        self.workload.is_silent() && self.egps.iter().all(Egp::is_quiescent)
+    }
+
+    /// The cycle a parked link resumes at when work arrives at `now`
+    /// through an event queued at `queued` (`now` itself for a
+    /// submit): the first cycle whose tick, had the clock kept
+    /// running, would still be pending. A running clock queues tick
+    /// `c` while handling tick `c-1`, so an event landing exactly on
+    /// the boundary of cycle `c` that was queued before that moment
+    /// fires *before* tick `c`, and tick `c` must still run.
+    fn resume_cycle(&self, now: SimTime, queued: SimTime) -> u64 {
+        let period = self.cfg.scenario.mhp_cycle.as_ps();
+        let c = now.as_ps() / period;
+        if c > 0 && now.as_ps().is_multiple_of(period) && queued.as_ps() < (c - 1) * period {
+            c
+        } else {
+            c + 1
+        }
+    }
+
+    /// Restarts a parked clock at cycle `resume`, after running the
+    /// housekeeping of the cycles it skipped. No-op on a ticking link.
+    fn unpark(&mut self, resume: u64) {
+        if self.parked.is_none() {
+            return;
+        }
+        self.replay_housekeeping(resume - 1);
+        self.parked = None;
+        self.queue
+            .schedule_at(self.cycle_start(resume), Event::Cycle(resume));
+    }
+
+    /// Runs the periodic housekeeping a parked link skipped, for every
+    /// cycle through `through`. While parked the master's queue is
+    /// empty, so each skipped queue-length sample is 0; pruning only
+    /// drops entries older than its horizon, so the last skipped prune
+    /// subsumes the earlier ones (and commutes with whatever a parked
+    /// link's in-flight events did to the ledger: those touch recent
+    /// cycles only). No-op on a ticking link.
+    fn replay_housekeeping(&mut self, through: u64) {
+        let Some(done) = self.parked else { return };
+        if through <= done {
+            return;
+        }
+        for _ in done / 256..through / 256 {
+            self.metrics.queue_length.push(0.0);
+        }
+        let last_prune = through / 16_384 * 16_384;
+        if last_prune > done {
+            self.prune(last_prune);
+        }
+        self.parked = Some(through);
+    }
+
+    /// The housekeeping every cycle `c` runs after its poll.
+    fn housekeeping(&mut self, c: u64) {
+        if c.is_multiple_of(256) {
+            self.metrics
+                .queue_length
+                .push(self.egps[0].queue_len() as f64);
+        }
+        if c.is_multiple_of(16_384) && c > 0 {
+            self.prune(c);
+        }
+    }
+
+    /// Forgets ledger entries and window α's older than 200,000 cycles
+    /// before `c`.
+    fn prune(&mut self, c: u64) {
+        let horizon = c.saturating_sub(200_000);
+        self.ledger.retain(|k, _| *k >= horizon);
+        self.window_alpha.retain(|k, _| *k >= horizon);
     }
 
     fn on_cycle(&mut self, now: SimTime, c: u64) {
+        if self.is_idle() {
+            self.housekeeping(c);
+            self.parked = Some(c);
+            return;
+        }
         // Keep the clock ticking.
         self.queue
             .schedule_at(self.cycle_start(c + 1), Event::Cycle(c + 1));
-        self.next_cycle_scheduled = c + 1;
 
         // Workload arrivals.
         let arrivals = self.workload.sample_cycle();
@@ -561,17 +756,7 @@ impl LinkSimulation {
             self.queue.schedule_at(close_at, Event::WindowClose(c));
         }
 
-        // Periodic housekeeping.
-        if c.is_multiple_of(256) {
-            self.metrics
-                .queue_length
-                .push(self.egps[0].queue_len() as f64);
-        }
-        if c.is_multiple_of(16_384) && c > 0 {
-            let horizon = c.saturating_sub(200_000);
-            self.ledger.retain(|k, _| *k >= horizon);
-            self.window_alpha.retain(|k, _| *k >= horizon);
-        }
+        self.housekeeping(c);
     }
 
     fn on_window_close(&mut self, now: SimTime, c: u64) {
@@ -969,6 +1154,248 @@ mod tests {
         // NL needs ~16× more cycles per attempt on QL2020; with FCFS it
         // still gets served.
         assert!(nl.pairs_delivered <= md.pairs_delivered + 1);
+    }
+
+    /// The oracle: the same link, but its clock never parks.
+    fn ticking(mut sim: LinkSimulation) -> LinkSimulation {
+        sim.never_park = true;
+        sim
+    }
+
+    /// Everything a run produced that does not count events, in a form
+    /// that compares bit for bit (floats print their exact shortest
+    /// representation; hash maps are sorted first).
+    fn outcome(sim: &mut LinkSimulation) -> String {
+        let deliveries = sim.drain_deliveries();
+        let rejections = sim.drain_rejections();
+        let m = &sim.metrics;
+        let mut errors: Vec<_> = m.errors.iter().collect();
+        errors.sort();
+        let kinds: Vec<_> = RequestKind::ALL
+            .iter()
+            .map(|k| format!("{:?}", m.kind_total(*k)))
+            .collect();
+        format!(
+            "{kinds:?} {errors:?} {:?} expires {} drops {} queue {} {:?} {:?} {:?} {:?}",
+            m.qber,
+            m.expires_sent,
+            m.decode_drops,
+            m.queue_length.count(),
+            m.queue_length.mean().to_bits(),
+            m.queue_length.max().to_bits(),
+            deliveries,
+            rejections,
+        )
+    }
+
+    /// A script of CREATEs separated by idle stretches long enough to
+    /// park in between: boundary and mid-cycle submits, both origins,
+    /// an instantly refused CREATE and a retraction.
+    fn scripted(mut sim: LinkSimulation) -> (String, EventKindCounts) {
+        sim.capture_deliveries();
+        sim.capture_rejections();
+        let period = sim.cfg.scenario.mhp_cycle.as_ps();
+        let at = |cycle: u64, offset_ps: u64| SimTime::from_ps(cycle * period + offset_ps);
+        sim.advance_to(at(100, 1_234));
+        sim.submit(0, md_request(2));
+        sim.advance_to(at(60_000, 0));
+        sim.submit(1, nl_request(1));
+        sim.advance_to(at(120_000, 777));
+        sim.submit(
+            0,
+            GeneratedRequest {
+                fmin: 0.99,
+                ..md_request(1)
+            },
+        );
+        sim.advance_to(at(150_000, 0));
+        let retracted = sim.submit(1, md_request(3));
+        sim.advance_to(at(150_003, 5));
+        sim.expire_request(1, retracted);
+        sim.advance_to(at(210_000, 9));
+        sim.submit(1, md_request(2));
+        sim.advance_to(at(400_000, 0));
+        (outcome(&mut sim), sim.events_by_kind())
+    }
+
+    #[test]
+    fn parked_runs_match_ticking_runs_bit_for_bit() {
+        let configs = [
+            LinkConfig::lab(WorkloadSpec::none(), 3),
+            LinkConfig::lab(WorkloadSpec::none(), 4).with_classical_loss(1e-3),
+            LinkConfig {
+                classical_corruption: 2e-3,
+                ..LinkConfig::lab(WorkloadSpec::none(), 5)
+            },
+            LinkConfig::ql2020(WorkloadSpec::none(), 6),
+        ];
+        for cfg in configs {
+            let (parked, parked_events) = scripted(LinkSimulation::new(cfg.clone()));
+            let (ticked, ticked_events) = scripted(ticking(LinkSimulation::new(cfg)));
+            assert_eq!(parked, ticked, "parking changed an outcome");
+            assert!(
+                parked.contains("Delivery {"),
+                "the script delivers: {parked}"
+            );
+            assert_eq!(
+                EventKindCounts {
+                    cycle: 0,
+                    ..parked_events
+                },
+                EventKindCounts {
+                    cycle: 0,
+                    ..ticked_events
+                },
+                "only cycle ticks may disappear"
+            );
+            assert!(
+                parked_events.cycle < ticked_events.cycle,
+                "{parked_events:?} vs {ticked_events:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn idle_link_parks_its_clock() {
+        let mut parked = manual_lab(1);
+        let mut ticked = ticking(manual_lab(1));
+        for sim in [&mut parked, &mut ticked] {
+            sim.run_for(SimDuration::from_secs(1));
+            assert_eq!(sim.events_by_kind().total(), sim.events_fired());
+        }
+        // One tick finds the link idle and parks it for good.
+        assert_eq!(parked.events_by_kind().cycle, 1);
+        assert_eq!(parked.next_event_time(), None);
+        assert_eq!(ticked.events_by_kind().cycle, 98_815);
+        // The skipped cycles' queue-length samples are still taken.
+        assert_eq!(parked.metrics.queue_length.count(), 386);
+        assert_eq!(outcome(&mut parked), outcome(&mut ticked));
+    }
+
+    #[test]
+    fn refused_create_on_a_parked_link_still_leaves_a_tick() {
+        // The tick is the wake on which an embedding layer drains the
+        // rejection; without it nothing would ever wake the network.
+        let mut sim = manual_lab(2);
+        sim.advance_to(SimTime::from_ps(1_000_000_000));
+        assert_eq!(sim.next_event_time(), None, "parked");
+        sim.submit(
+            0,
+            GeneratedRequest {
+                fmin: 0.99,
+                ..md_request(1)
+            },
+        );
+        let period = sim.cfg.scenario.mhp_cycle.as_ps();
+        let tick = SimTime::from_ps((1_000_000_000 / period + 1) * period);
+        assert_eq!(sim.next_event_time(), Some(tick));
+        sim.advance_to(tick);
+        assert_eq!(sim.metrics.error_count("UNSUPP"), 1);
+        assert_eq!(sim.next_event_time(), None, "parked again");
+    }
+
+    #[test]
+    fn parked_link_translates_in_time() {
+        // Shift by whole carbon re-initialisation periods: K-type
+        // service is blacked out on a cycle-periodic schedule.
+        let cfg = LinkConfig::lab(WorkloadSpec::none(), 8);
+        let period = cfg.scenario.mhp_cycle;
+        let reinit = (cfg.scenario.nv.carbon_reinit_period_s / period.as_secs_f64()).round() as u64;
+        let shift = 40 * reinit;
+        let deliveries = |submit: SimTime| {
+            let mut sim = LinkSimulation::new(cfg.clone());
+            sim.capture_deliveries();
+            sim.advance_to(submit);
+            sim.submit(0, nl_request(2));
+            sim.advance_to(submit + SimDuration::from_secs(3));
+            let cycles = sim.events_by_kind().cycle;
+            (sim.drain_deliveries(), cycles)
+        };
+        for offset_ps in [0, 4_321] {
+            let submit = SimTime::from_ps(500 * period.as_ps() + offset_ps);
+            let (early, early_cycles) = deliveries(submit);
+            let (late, late_cycles) = deliveries(submit + period * shift);
+            assert_eq!(early.len(), 2, "the request completes");
+            assert_eq!(early_cycles, late_cycles, "idle cycles are not ticked");
+            for (e, l) in early.iter().zip(&late) {
+                assert_eq!(l.at, e.at + period * shift);
+                assert_eq!(l.fidelity.to_bits(), e.fidelity.to_bits());
+                assert_eq!(
+                    (l.create_id, l.request_complete),
+                    (e.create_id, e.request_complete)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frame_landing_on_a_boundary_after_a_long_flight_precedes_its_tick() {
+        // QL2020's 25 km node-to-node flight lasts ~12 cycles. A frame
+        // queued that long ago and landing exactly on the boundary of a
+        // queue-length sampling cycle fires before that cycle's tick;
+        // the resumed clock must still run the tick (and sample the
+        // queue the frame just filled).
+        let cfg = LinkConfig::ql2020(WorkloadSpec::none(), 9);
+        let period = cfg.scenario.mhp_cycle;
+        let flight = fiber_delay_of(&cfg);
+        assert!(flight > period);
+        let land = SimTime::from_ps(1024 * period.as_ps());
+        let sent = land - flight;
+        // A slave-originated DQP ADD, captured from a twin link.
+        let mut twin = LinkSimulation::new(cfg.clone());
+        twin.advance_to(sent);
+        twin.submit(1, md_request(1));
+        let bytes = loop {
+            match twin.queue.pop() {
+                Some((t, Event::PeerFrame { to: 0, bytes })) => {
+                    assert_eq!(t, land);
+                    break bytes;
+                }
+                Some(_) => continue,
+                None => panic!("the ADD was sent"),
+            }
+        };
+        let run = |mut sim: LinkSimulation| {
+            sim.advance_to(sent);
+            sim.queue.schedule_at(
+                land,
+                Event::PeerFrame {
+                    to: 0,
+                    bytes: bytes.clone(),
+                },
+            );
+            sim.advance_to(land + period * 3);
+            assert_eq!(
+                sim.metrics.queue_length.max(),
+                1.0,
+                "tick 1024 saw the entry"
+            );
+            sim.advance_to(land + SimDuration::from_secs(1));
+            (outcome(&mut sim), sim.events_by_kind().peer_frame)
+        };
+        assert_eq!(
+            run(LinkSimulation::new(cfg.clone())),
+            run(ticking(LinkSimulation::new(cfg)))
+        );
+    }
+
+    fn fiber_delay_of(cfg: &LinkConfig) -> SimDuration {
+        qlink_classical::channel::propagation_delay(cfg.scenario.arm_a_km + cfg.scenario.arm_b_km)
+    }
+
+    #[test]
+    fn corrupted_frames_are_counted_as_decode_drops() {
+        let run = |corruption| {
+            let mut sim = LinkSimulation::new(LinkConfig {
+                classical_corruption: corruption,
+                ..LinkConfig::lab(WorkloadSpec::none(), 12)
+            });
+            sim.submit(0, md_request(3));
+            sim.run_for(SimDuration::from_secs(2));
+            sim.metrics.decode_drops
+        };
+        assert_eq!(run(0.0), 0);
+        assert!(run(0.05) > 0);
     }
 
     #[test]

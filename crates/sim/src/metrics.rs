@@ -79,6 +79,9 @@ pub struct LinkMetrics {
     pub errors: HashMap<&'static str, u64>,
     /// EXPIRE messages seen (sent, at either node).
     pub expires_sent: u64,
+    /// Classical frames (node-to-node, GEN, REPLY) discarded on
+    /// arrival because they failed to decode — corrupted in flight.
+    pub decode_drops: u64,
     /// Queue-length samples.
     pub queue_length: RunningStats,
     /// Per-kind OK time series (for throughput-vs-time plots).

@@ -194,6 +194,13 @@ impl WorkloadGenerator {
         &self.spec
     }
 
+    /// `true` when no request kind has any load: every
+    /// [`WorkloadGenerator::sample_cycle`] returns nothing and draws no
+    /// randomness.
+    pub fn is_silent(&self) -> bool {
+        self.active_n == 0
+    }
+
     /// Samples this cycle's arrivals (0 or more — each kind draws
     /// independently, as in the paper's per-kind issue probability).
     #[inline]

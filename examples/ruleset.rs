@@ -32,9 +32,11 @@ fn fingerprint(r: &RunRecord) -> (u32, u32, u64, u64, u64, u64) {
 
 /// The record of the anchor scenario below (5-node chain, 2 rounds,
 /// link-level purification, seed 7), recorded from the hard-coded
-/// `PurifyPolicy::LinkLevel` engine before it was deleted.
+/// `PurifyPolicy::LinkLevel` engine before it was deleted. The event
+/// count alone was re-recorded once idle links stopped ticking their
+/// MHP clock (3,315,991 before).
 const LINK_PURIFY_GOLDEN: (u32, u32, u64, u64, u64, u64) =
-    (2, 0, 26, 3_315_991, 0x3fd61a9e6af180a0, 0x3fe25de334bf2ee0);
+    (2, 0, 26, 2_917_851, 0x3fd61a9e6af180a0, 0x3fe25de334bf2ee0);
 
 fn mixed_chain() -> Topology {
     Topology::chain(5, |i| {

@@ -535,7 +535,9 @@ fn edge_load_balances_under_interpreted_rulesets() {
 /// new machinery schedules no events and draws no randomness, so
 /// these scenario stats must reproduce **bit-identically** — the
 /// contended multi-stream chain of `net_routing.rs` and the
-/// purification sweep cells of `net_purify.rs`.
+/// purification sweep cells of `net_purify.rs`. (Event counts were
+/// re-recorded once idle links stopped ticking their MHP clock; every
+/// other field is the original anchor.)
 #[test]
 fn pr3_scenario_stats_reproduce_bit_identically() {
     struct Pin {
@@ -578,7 +580,7 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
         &Pin {
             successes: 2,
             rounds: 2,
-            events: 399425,
+            events: 385622,
             fid_bits: 0x3fd52195dac57856,
             lat_bits: 0x3fc1f54e350f4050,
             pairs: 4,
@@ -591,7 +593,7 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
         (
             PurifyPolicy::Off,
             1,
-            1208705,
+            1003059,
             0x3fd4c4c25b62f322,
             0x3fd0c1bc3219e844,
             8,
@@ -599,7 +601,7 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
         (
             PurifyPolicy::Off,
             2,
-            1090681,
+            1022643,
             0x3fd4dd4546f6ff70,
             0x3fc55650e3bc46e4,
             8,
@@ -607,7 +609,7 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
         (
             PurifyPolicy::LinkLevel,
             1,
-            2287333,
+            1997215,
             0x3fd61d31f71fd713,
             0x3fda87559e900d6a,
             20,
@@ -615,7 +617,7 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
         (
             PurifyPolicy::LinkLevel,
             2,
-            2851727,
+            2461807,
             0x3fd5de38a4298a86,
             0x3fe0bc58ab38ddcd,
             18,

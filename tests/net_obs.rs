@@ -240,6 +240,38 @@ fn metrics_reconcile_with_network_counters() {
     );
 }
 
+/// Classical frames a link discards as undecodable are counted per
+/// edge: never on clean channels, on every edge once frames corrupt.
+#[test]
+fn decode_drops_are_counted_per_edge() {
+    let run = |corruption: f64| {
+        let topo = Topology::chain(3, |i| LinkConfig {
+            classical_corruption: corruption,
+            ..lab(60 + i as u64)
+        });
+        let mut net = Network::new(topo, 4);
+        net.set_telemetry(TelemetryConfig {
+            metrics: true,
+            ..TelemetryConfig::OFF
+        });
+        net.request_entanglement(0, 2, 0.6);
+        net.run_until_outcome(SimDuration::from_secs(5));
+        let drops = net
+            .telemetry()
+            .expect("telemetry on")
+            .metrics()
+            .decode_drops
+            .clone();
+        for (e, &n) in drops.iter().enumerate() {
+            assert_eq!(n, net.link(e).metrics.decode_drops, "edge {e}");
+        }
+        drops
+    };
+    assert_eq!(run(0.0), vec![0, 0]);
+    let drops = run(0.01);
+    assert!(drops.iter().all(|&n| n > 0), "{drops:?}");
+}
+
 // ---- histogram percentiles ------------------------------------------
 
 /// Property: for seeded random samples, `Histogram::quantile` is
@@ -360,11 +392,21 @@ fn profile_reports_engine_numbers() {
     assert!(p.events_handled <= seq.events_fired());
     assert!(p.queue_depth_high_water > 0);
     assert_eq!(p.windows, 0, "sequential engine runs no windows");
+    // The per-kind link event counts make up the rest, exactly.
+    assert!(p.link_events.cycle > 0 && p.link_events.peer_frame > 0);
+    assert_eq!(p.events_handled + p.link_events.total(), seq.events_fired());
+    assert!(p.to_json().contains("\"link_events\": {\"cycle\": "));
 
     let sh = contended_grid(1, ExecMode::Sharded(2), TelemetryConfig::all());
     let p = sh.telemetry().expect("telemetry on").profile();
     assert!(p.windows > 0, "sharded engine ran windows");
     assert_eq!(p.shard_busy_nanos.len(), 2, "one busy figure per shard");
+    assert_eq!(p.events_handled + p.link_events.total(), sh.events_fired());
+    assert_eq!(
+        p.link_events,
+        seq.telemetry().expect("telemetry on").profile().link_events,
+        "both engines fire the same link events"
+    );
     let json = p.to_json();
     assert!(json.contains("\"windows\""));
     assert!(json.contains("\"shard_busy_ns\""));

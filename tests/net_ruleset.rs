@@ -6,7 +6,9 @@
 //! draws, latencies, event counts) were recorded from the hard-coded
 //! engine before it was deleted, across the parallel-suite scenario
 //! classes (chains, the contended 4×4 grid, both purification
-//! policies, single-edge paths), and are pinned below. `Sharded(n)`
+//! policies, single-edge paths), and are pinned below. The event
+//! counts alone were re-recorded once idle links stopped ticking their
+//! MHP clock; every other field is still the deleted engine's. `Sharded(n)`
 //! stays bit-identical to `Sequential` (byte-equal span streams) with
 //! rule firing logged. The data-only policies — threshold-gated
 //! purification and k-round entanglement pumping — are pinned
@@ -53,7 +55,7 @@ fn assert_golden(spec: &ScenarioSpec, seeds: &[u64], goldens: &[&str]) {
 /// The link-purify chain's record at seed 3, recorded from the
 /// hard-coded `PurifyPolicy::LinkLevel` engine.
 const LINK_PURIFY_SEED_3: &str =
-    "1 1 0 0 777349 6 3fda52e5429edf40 3fd1cfd55f0b9d8e 0000000000000000";
+    "1 1 0 0 746515 6 3fda52e5429edf40 3fd1cfd55f0b9d8e 0000000000000000";
 
 /// The purifying chain every link-purify golden runs on.
 fn purify_chain(name: &str) -> ScenarioSpec {
@@ -71,8 +73,8 @@ fn interpreted_swap_asap_matches_hardcoded_on_chains() {
         &spec,
         &[1, 7],
         &[
-            "2 2 0 0 845801 4 3fd52195d5056871 3fd0c1bc27b70368 3f6b6d7a44459c7d",
-            "2 2 0 0 267433 4 3fd5b98731efca5e 3fb082ba99bc6912 3ede5d5c3ba5a7ab",
+            "2 2 0 0 777477 4 3fd52195d5056871 3fd0c1bc27b70368 3f6b6d7a44459c7d",
+            "2 2 0 0 267432 4 3fd5b98731efca5e 3fb082ba99bc6912 3ede5d5c3ba5a7ab",
         ],
     );
 }
@@ -110,8 +112,8 @@ fn interpreted_swap_asap_matches_hardcoded_on_contended_grid() {
         &spec,
         &[1, 5],
         &[
-            "5 6 1 5 8570131 22 3fd16c086d885c25 3fd4c204e2742183 3fa0d38c7c50c5c6",
-            "5 6 1 4 9399232 22 3fd16c086d885c25 3fd4041256ae8e9a 3f9e1e0f6337012c",
+            "5 6 1 5 6591861 22 3fd16c086d885c25 3fd4c204e2742183 3fa0d38c7c50c5c6",
+            "5 6 1 4 7500413 22 3fd16c086d885c25 3fd4041256ae8e9a 3f9e1e0f6337012c",
         ],
     );
 }
@@ -131,7 +133,7 @@ fn interpreted_end_to_end_matches_hardcoded_end_to_end() {
     assert_golden(
         &spec,
         &[3],
-        &["1 1 0 0 777352 6 3fd76a1cbf82a58e 3fd1cfd573d16748 0000000000000000"],
+        &["1 1 0 0 746518 6 3fd76a1cbf82a58e 3fd1cfd573d16748 0000000000000000"],
     );
 }
 
